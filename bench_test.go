@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/admitd"
 	"repro/internal/core"
 	"repro/internal/dar"
 	"repro/internal/experiments"
@@ -410,27 +409,6 @@ func BenchmarkFlightSnapshot(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineStepOpenLoop forces the same open-loop workload through
-// the per-frame stepped engine (Config.ForceStep). Results are
-// bit-identical to BenchmarkMuxRunBlock; the gap prices the per-frame
-// bookkeeping the feedback tap costs when nothing is closed-loop, and
-// the benchdiff gate holds the chunked fast path itself within 5% of the
-// pre-engine baseline.
-func BenchmarkEngineStepOpenLoop(b *testing.B) {
-	m := replayWorkload(b)
-	cfg := mux.Config{Model: m, N: 100, C: 526, B: 100, Frames: 20000, ForceStep: true}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfg.Seed = int64(i)
-		if _, err := mux.Run(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(cfg.N)*float64(cfg.Frames)*float64(b.N)/b.Elapsed().Seconds(),
-		"frames/sec")
-}
-
 // BenchmarkEngineStepClosedLoop wraps the replay workload in the AIMD
 // controller, so every frame draws per-source scalars, runs the shared
 // Lindley kernel, and delivers feedback to all 100 sources — the full
@@ -492,67 +470,5 @@ func BenchmarkMuxSweep(b *testing.B) {
 		if _, err := mux.RunSweep(cfg, buffers); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// Admission-service benchmarks: the per-decision cost of the online CAC
-// path against a standing heterogeneous mix. "cold" recomputes the
-// large-deviations feasibility check every iteration (cache flushed);
-// "cache-hit" measures the steady-churn fast path the decision cache
-// serves. DryRun keeps the mix — and therefore the cache key — stable.
-func BenchmarkAdmitDecision(b *testing.B) {
-	srv := admitd.NewServer(admitd.Config{})
-	if err := srv.AddLink(admitd.LinkConfig{Name: "core", CellsPerSec: 365566, DelayMs: 20, CLR: 1e-6}); err != nil {
-		b.Fatal(err)
-	}
-	for _, seed := range []struct {
-		spec string
-		n    int
-	}{{"z:0.975", 10}, {"dar:0.975:1", 5}} {
-		resp, err := srv.Admit(admitd.AdmitRequest{Link: "core", Class: seed.spec, Count: seed.n})
-		if err != nil || !resp.Admitted {
-			b.Fatalf("seeding mix: %+v, %v", resp, err)
-		}
-	}
-	req := admitd.AdmitRequest{Link: "core", Class: "z:0.975", DryRun: true}
-	b.Run("cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			srv.FlushCaches()
-			if _, err := srv.Admit(req); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("cache-hit", func(b *testing.B) {
-		if _, err := srv.Admit(req); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			resp, err := srv.Admit(req)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !resp.CacheHit {
-				b.Fatal("decision missed the cache")
-			}
-		}
-	})
-}
-
-// mixSigSink defeats dead-code elimination in BenchmarkMixSignature.
-var mixSigSink string
-
-// BenchmarkMixSignature prices the canonical signature rendering that
-// forms every decision-cache key and journal-replay state identity.
-func BenchmarkMixSignature(b *testing.B) {
-	classes := []admitd.ClassCount{
-		{Class: "z:0.975", Count: 14},
-		{Class: "DAR:0.975:1", Count: 9},
-		{Class: "l", Count: 3},
-		{Class: "v:1.5", Count: 2},
-	}
-	for i := 0; i < b.N; i++ {
-		mixSigSink = admitd.MixSignature(classes)
 	}
 }

@@ -11,7 +11,7 @@
 //
 // With -adaptive (or an aimd:<spec> model spec) sources are closed-loop:
 // an AIMD controller scales each source's frame sizes against the queue
-// state fed back by the stepped multiplexer engine. Closed-loop CLR runs
+// state fed back by the multiplexer after every frame. Closed-loop CLR runs
 // execute one replication batch per buffer size instead of the coupled
 // single-pass sweep, since feedback couples arrivals to the buffer.
 //
@@ -138,7 +138,7 @@ func main() {
 			res, err := mux.RunBOP(mux.BOPConfig{
 				Model: m, N: *n, C: *c, Frames: *frames * *reps,
 				Warmup: *frames / 10, Seed: *seed, Thresholds: thresholds,
-				Span: sp,
+				Ctx: trace.ContextWith(mctx, sp),
 			})
 			sp.End()
 			if err != nil {
@@ -156,8 +156,8 @@ func main() {
 		}
 		// Closed-loop models cannot share a coupled buffer sweep (the
 		// feedback tap makes arrivals depend on the buffer), so each
-		// buffer runs its own replication batch through the stepped
-		// engine; open-loop models keep the coupled single-pass sweep.
+		// buffer runs its own replication batch; open-loop models keep
+		// the coupled single-pass sweep.
 		var byBuffer [][]mux.Result
 		if traffic.IsClosedLoopModel(m) {
 			byBuffer = make([][]mux.Result, len(cells))

@@ -190,15 +190,14 @@ func main() {
 		}
 	}
 
-	// Simulation-backed drivers receive the figure's root span through
-	// SimConfig so sweeps, replications and mux chunks nest below it;
+	// Simulation-backed drivers receive the figure's root span in
+	// SimConfig.Ctx so sweeps, replications and mux chunks nest below it;
 	// analytic drivers just run inside the span's extent. The figure id
 	// also becomes the outermost profiling label, so CPU samples from any
 	// worker goroutine attribute back to the figure being regenerated.
 	withSpan := func(id string, sp trace.Span) experiments.SimConfig {
 		s := sim
-		s.Span = sp
-		s.Ctx = prof.WithLabels(ctx, prof.Labels{Figure: id})
+		s.Ctx = trace.ContextWith(prof.WithLabels(ctx, prof.Labels{Figure: id}), sp)
 		return s
 	}
 	type driver struct {

@@ -8,17 +8,14 @@ import (
 // telemetry (timers, manifests; the internal/telemetry root also covers
 // internal/telemetry/prof, whose collector paces CPU windows with a
 // ticker and stamps store index lines — pure observation, never inputs
-// to a model), trace (span timestamps), runner (progress/ETA), the
-// admission service (request/decision latency is the quantity it serves
-// and reports — a server cannot be a pure function of its seed; see
-// DESIGN.md §11) and the CLIs. Everything else — models, multiplexers,
+// to a model), trace (span timestamps), runner (progress/ETA) and the
+// CLIs. Everything else — models, multiplexers,
 // solvers — must be a pure function of its inputs and seed, or replays
 // stop being bit-identical.
 var walltimeAllowed = []string{
 	"internal/telemetry",
 	"internal/trace",
 	"internal/runner",
-	"internal/admitd",
 	"cmd",
 }
 
@@ -27,7 +24,7 @@ var walltimeAllowed = []string{
 var WallTime = &Analyzer{
 	Name: "walltime",
 	Doc: "flags time.Now/time.Since outside internal/telemetry, internal/trace, " +
-		"internal/runner, internal/admitd and cmd/* — wall-clock reads in model code break replay determinism",
+		"internal/runner and cmd/* — wall-clock reads in model code break replay determinism",
 	Run: runWallTime,
 }
 

@@ -13,9 +13,7 @@ func MixMeetsTarget(mix core.Mix, l Link, clrTarget float64) (bool, error) {
 	return MixMeetsTargetEst(mix, l, clrTarget, BahadurRao)
 }
 
-// MixMeetsTargetEst is MixMeetsTarget with an explicit overflow estimator,
-// the form the admission service uses so its -estimator flag covers the
-// heterogeneous path too.
+// MixMeetsTargetEst is MixMeetsTarget with an explicit overflow estimator.
 func MixMeetsTargetEst(mix core.Mix, l Link, clrTarget float64, e Estimator) (bool, error) {
 	if err := l.Validate(); err != nil {
 		return false, err

@@ -20,7 +20,6 @@ import (
 	"repro/internal/models"
 	"repro/internal/runner"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 // Series is one labelled curve of an experiment. Simulation-backed series
@@ -170,14 +169,14 @@ type SimConfig struct {
 	// Engine, when non-nil, runs every simulation job — sharing its
 	// worker pool, progress counters and checkpoint across figures.
 	Engine *runner.Engine
-	// Ctx, when non-nil, cancels in-flight replications (fail-fast).
-	Ctx context.Context
-
-	// Span, when active, parents the figure's trace spans: each model
+	// Ctx, when non-nil, cancels in-flight replications (fail-fast). It is
+	// also the figure's only instrumentation handle: the span it carries
+	// (trace.ContextWith) parents the figure's trace spans — each model
 	// sweep becomes a child span, and replications/mux chunks nest below
-	// it. The zero Span disables tracing. Observational only — never part
-	// of seeds, so results are bit-identical with tracing on or off.
-	Span trace.Span
+	// it — and its pprof labels attribute CPU samples. Observational only:
+	// never part of seeds, so results are bit-identical with tracing on or
+	// off.
+	Ctx context.Context
 	// ConvMaxRelCI is the target relative 95% CI half-width for per-point
 	// convergence verdicts (≤ 0 selects DefaultConvMaxRelCI). Verdicts are
 	// attached to every simulated series and unconverged points are logged

@@ -26,7 +26,7 @@ var SimBufferGridMsec = []float64{0, 1, 2, 4, 6, 8, 10, 14, 20}
 // fanned out over cfg's orchestration engine; the estimates are
 // bit-identical for any worker count.
 //
-// Each sweep runs under a child span of cfg.Span (replications and mux
+// Each sweep runs under a child span of cfg.Ctx's span (replications and mux
 // chunks nest below it), and every grid point gets a convergence verdict
 // over its per-replication CLRs; unconverged points are logged as
 // warnings. Both are observational — they never touch the estimates.
@@ -34,7 +34,7 @@ func clrSeries(m traffic.Model, c float64, n int, grid []float64, cfg SimConfig)
 	if err := cfg.Validate(); err != nil {
 		return Series{}, err
 	}
-	sp := cfg.Span.Child("sweep "+m.Name(),
+	sp := trace.FromContext(cfg.Ctx).Child("sweep "+m.Name(),
 		trace.Int("N", n), trace.Float("c", c), trace.Int("reps", cfg.Reps))
 	defer sp.End()
 	buffers := make([]float64, len(grid))

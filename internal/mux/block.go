@@ -27,10 +27,10 @@ var (
 	metDrainTime    = telemetry.Default.Timer("mux_chunk_drain_seconds")
 	metPoolGets     = telemetry.Default.Counter("mux_chunk_pool_gets_total")
 	metPoolMisses   = telemetry.Default.Counter("mux_chunk_pool_misses_total")
-	// Path split: which simulation engine served each run — the chunked
-	// open-loop block path or the per-frame stepped engine (closed-loop
-	// feedback). The flight recorder's per-frame view of these makes a
-	// mid-run path change (e.g. an adaptive model joining) visible.
+	// Path split: runs whose sources are all open-loop count as chunked,
+	// runs with any closed-loop (per-frame feedback) source as stepped.
+	// The flight recorder's per-frame view of these makes a mid-run
+	// change (e.g. an adaptive model joining) visible.
 	metPathChunked = telemetry.Default.Counter("mux_path_runs_total", telemetry.L("path", "chunked"))
 	metPathStepped = telemetry.Default.Counter("mux_path_runs_total", telemetry.L("path", "stepped"))
 )

@@ -1,18 +1,27 @@
 package mux
 
 import (
-	"math"
+	"context"
 
 	"repro/internal/telemetry"
+	"repro/internal/telemetry/prof"
 	"repro/internal/trace"
 	"repro/internal/traffic"
 )
 
 // Feedback-path telemetry. metFeedbackSteps counts per-frame feedback
 // deliveries (one per served frame of a closed-loop run, regardless of how
-// many sources listen); it is flushed once per run from the engine's local
-// accumulator, never bumped per frame.
+// many sources listen); it is flushed once per run from the engine's frame
+// counter, never bumped per frame.
 var metFeedbackSteps = telemetry.Default.Counter("mux_feedback_steps_total")
+
+// Profiling labels mirroring the mux_path_runs_total{path=...} counters:
+// CPU samples of a run with only open-loop sources carry path=chunked,
+// those of a run with any closed-loop source path=stepped.
+var (
+	profChunked = prof.Labels{Path: "chunked"}
+	profStepped = prof.Labels{Path: "stepped"}
+)
 
 // lindleyStep is the one shared Lindley kernel of this package: it
 // advances the fluid finite-buffer recursion one frame,
@@ -24,8 +33,8 @@ var metFeedbackSteps = telemetry.Default.Counter("mux_feedback_steps_total")
 // returning the cells lost during the frame and the workload after it.
 // With b = +Inf it degenerates to the infinite-buffer workload recursion
 // w' = net^+ with zero loss, so the finite-buffer (CLR) and
-// infinite-buffer (BOP) paths — chunked and stepped alike — share this
-// single implementation of the clip/overflow arithmetic.
+// infinite-buffer (BOP) runs share this single implementation of the
+// clip/overflow arithmetic.
 func lindleyStep(w, a, c, b float64) (loss, next float64) {
 	net := w + a - c
 	if net <= 0 {
@@ -37,53 +46,43 @@ func lindleyStep(w, a, c, b float64) (loss, next float64) {
 	return 0, net
 }
 
-// Step describes one frame advanced by the stepped engine.
-type Step struct {
-	Arrived float64 // aggregate arrivals during the frame, cells
-	Loss    float64 // cells lost during the frame
-	W       float64 // workload after the frame, cells
-	Service float64 // cells actually served: min(W_prev + Arrived, C)
+// tally folds measured frames into the finite-buffer statistics of a
+// Result.
+type tally struct {
+	arrived, lost, sumW, maxW float64
+	lossFrames                int
 }
 
-// Engine is the stepped multiplexer simulation core: it holds the source
-// streams and the Lindley state and advances them one frame at a time
-// through Step, feeding the post-frame queue state back to every source
-// that opts in via traffic.FeedbackGenerator.
+// engine is the multiplexer's one simulation loop. It holds the source
+// streams and the Lindley state and advances them a chunk (≤ chunkFrames
+// frames) at a time:
 //
-// Open-loop sources keep the chunked fast path: they are pooled into one
-// blockAggregator whose 4096-frame fills amortise the per-frame dispatch,
-// and a run with no closed-loop source never constructs per-frame Step
-// values at all — Run/RunBOP/RunMix detect that case and drain whole
-// chunks through the same lindleyStep kernel, so open-loop results are
-// bit-identical to the pre-engine block pipeline at its speed. Only when
-// at least one source is closed-loop does the run drop to per-frame
-// stepping (the block contract guarantees the open-loop sub-aggregate is
-// bit-identical either way, since sample paths are invariant under Fill
-// partitioning).
+//   - the open-loop sources are pooled into one blockAggregator, whose
+//     chunk fills amortise the per-frame dispatch;
+//   - each closed-loop source (traffic.FeedbackGenerator) adds its
+//     NextFrame per frame and observes the post-frame queue state.
 //
 // Aggregation order: the aggregate arrival of a frame is the open-loop
 // sources' sum (in source order) plus the closed-loop sources' frames (in
 // source order). For a pure open-loop run this is exactly the historical
-// source-order summation.
-type Engine struct {
+// source-order summation, so sample paths are bit-identical to it.
+type engine struct {
 	totalC float64
 	totalB float64 // +Inf for infinite-buffer runs
 	w      float64
-	frame  int // served frames, warm-up included
+	frame  int // frames with feedback delivered, warm-up included
 
-	open   *blockAggregator // nil when every source is closed-loop
+	// open sums the open-loop sources; with none it still supplies the
+	// zeroed chunk buffer that advance fills.
+	open   *blockAggregator
 	closed []traffic.FeedbackGenerator
-
-	chunk []float64 // current open-loop aggregate chunk (stepped mode)
-	idx   int
-
-	fbSteps int64 // local accumulator for metFeedbackSteps
 }
 
 // newEngine partitions gens into the open-loop pool and the closed-loop
-// tap list. totalB may be math.Inf(1) for infinite-buffer dynamics.
-func newEngine(gens []traffic.Generator, totalC, totalB float64, span trace.Span) *Engine {
-	e := &Engine{totalC: totalC, totalB: totalB}
+// tap list. totalB may be math.Inf(1) for infinite-buffer dynamics. Every
+// newEngine must be paired with a deferred release.
+func newEngine(gens []traffic.Generator, totalC, totalB float64) *engine {
+	e := &engine{totalC: totalC, totalB: totalB}
 	var open []traffic.Generator
 	for _, g := range gens {
 		if fg, ok := g.(traffic.FeedbackGenerator); ok {
@@ -92,143 +91,118 @@ func newEngine(gens []traffic.Generator, totalC, totalB float64, span trace.Span
 			open = append(open, g)
 		}
 	}
-	if len(open) > 0 {
-		e.open = newBlockAggregator(open)
-		e.open.span = span
-	}
+	e.open = newBlockAggregator(open)
 	return e
 }
 
-// closedLoop reports whether any source taps the feedback loop; if not,
-// callers should prefer draining whole chunks via nextChunk.
-func (e *Engine) closedLoop() bool { return len(e.closed) > 0 }
-
-// W returns the current workload (cells).
-func (e *Engine) W() float64 { return e.w }
-
-// nextChunk returns the aggregate arrivals of the next n ≤ chunkFrames
-// frames. It is the open-loop fast path and must not be mixed with Step:
-// it bypasses the Lindley state entirely (the caller runs the kernel over
-// the chunk) and panics if a closed-loop source is present.
-func (e *Engine) nextChunk(n int) []float64 {
-	if e.closedLoop() {
-		panic("mux: nextChunk on a closed-loop engine")
-	}
-	return e.open.next(n)
-}
-
-// Step advances the simulation one frame: draws one frame from every
-// source, applies the Lindley kernel, and delivers the post-frame
-// feedback to every closed-loop source.
-func (e *Engine) Step() Step {
-	var a float64
-	if e.open != nil {
-		if e.idx == len(e.chunk) {
-			e.chunk = e.open.next(chunkFrames)
-			e.idx = 0
-		}
-		a = e.chunk[e.idx]
-		e.idx++
-	}
-	for _, g := range e.closed {
-		a += g.NextFrame()
-	}
-	loss, next := lindleyStep(e.w, a, e.totalC, e.totalB)
-	// served = min(w + a, C), derived without re-branching: everything
-	// that arrived or was queued either remains queued, was lost, or left.
-	served := e.w + a - loss - next
-	e.w = next
-	e.frame++
-	if len(e.closed) > 0 {
-		fb := traffic.Feedback{
-			Frame:       e.frame,
-			W:           next,
-			Buffer:      e.totalB,
-			Capacity:    e.totalC,
-			Loss:        loss,
-			Utilization: served / e.totalC,
-		}
+// advance simulates the frames whose open-loop arrivals buf holds, in
+// place: on return buf[i] is the workload after frame i. Each frame adds
+// the closed-loop sources' arrivals, applies the Lindley kernel, delivers
+// the feedback (skipped when every source is open-loop) and is folded
+// into t.
+func (e *engine) advance(buf []float64, t *tally) {
+	for i, a := range buf {
 		for _, g := range e.closed {
-			g.Observe(fb)
+			a += g.NextFrame()
 		}
-		e.fbSteps++
-	}
-	return Step{Arrived: a, Loss: loss, W: next, Service: served}
-}
-
-// release returns pooled buffers and flushes the engine's telemetry
-// accumulators. The engine must not be used afterwards. Every newEngine
-// must be paired with a deferred release, exactly as with
-// newBlockAggregator.
-func (e *Engine) release() {
-	if e.open != nil {
-		e.open.release()
-		e.open = nil
-	}
-	if e.fbSteps > 0 {
-		metFeedbackSteps.Add(e.fbSteps)
-		metFrames.Add(e.fbSteps * int64(len(e.closed)))
-		e.fbSteps = 0
-	}
-}
-
-// runStepped executes the finite-buffer measurement through the per-frame
-// stepped loop — the closed-loop counterpart of the chunked drain in Run
-// and RunMix. Spans batch per stepSpanFrames frames so tracing stays
-// per-chunk-granular, never per-frame.
-func runStepped(e *Engine, frames, warmup int, span trace.Span) Result {
-	for i := 0; i < warmup; i++ {
-		e.Step()
-	}
-	res := Result{Frames: frames, InitialW: e.w}
-	var sumW float64
-	for rem := frames; rem > 0; {
-		n := min(rem, chunkFrames)
-		sp := span.Child("mux step", trace.Int("frames", n))
-		stopDrain := metDrainTime.Start()
-		for i := 0; i < n; i++ {
-			st := e.Step()
-			res.ArrivedCells += st.Arrived
-			if st.Loss > 0 {
-				res.LostCells += st.Loss
-				res.LossFrames++
+		loss, next := lindleyStep(e.w, a, e.totalC, e.totalB)
+		if len(e.closed) > 0 {
+			e.frame++
+			// served = min(w + a, C), derived without re-branching:
+			// everything that arrived or was queued either remains
+			// queued, was lost, or left.
+			fb := traffic.Feedback{
+				Frame:       e.frame,
+				W:           next,
+				Buffer:      e.totalB,
+				Capacity:    e.totalC,
+				Loss:        loss,
+				Utilization: (e.w + a - loss - next) / e.totalC,
 			}
-			sumW += st.W
-			if st.W > res.MaxWorkload {
-				res.MaxWorkload = st.W
+			for _, g := range e.closed {
+				g.Observe(fb)
 			}
 		}
-		stopDrain()
-		sp.End()
-		metOccupancy.Observe(e.w)
-		rem -= n
+		t.arrived += a
+		if loss > 0 {
+			t.lost += loss
+			t.lossFrames++
+		}
+		e.w = next
+		t.sumW += next
+		if next > t.maxW {
+			t.maxW = next
+		}
+		buf[i] = next
 	}
+}
+
+// run discards warmup frames, then measures frames more and summarises
+// them as a Result. scan, when non-nil, sees the post-frame workloads of
+// every measured chunk. A non-nil ctx parents per-chunk "mux fill" and
+// "mux drain" spans (trace.FromContext) and carries the caller's pprof
+// labels, merged with this run's path label; a nil ctx means neither.
+func (e *engine) run(ctx context.Context, warmup, frames int, scan func(ws []float64)) Result {
+	parent := trace.FromContext(ctx)
+	e.open.span = parent
+	res := Result{Frames: frames}
+	loop := func() {
+		var discard tally
+		for rem := warmup; rem > 0; rem -= chunkFrames {
+			e.advance(e.open.next(min(rem, chunkFrames)), &discard)
+		}
+		res.InitialW = e.w
+		var t tally
+		for rem := frames; rem > 0; {
+			n := min(rem, chunkFrames)
+			ws := e.open.next(n)
+			sp := parent.Child("mux drain", trace.Int("frames", n))
+			stopDrain := metDrainTime.Start()
+			e.advance(ws, &t)
+			stopDrain()
+			sp.End()
+			metOccupancy.Observe(e.w)
+			if scan != nil {
+				scan(ws)
+			}
+			rem -= n
+		}
+		res.ArrivedCells, res.LostCells, res.LossFrames = t.arrived, t.lost, t.lossFrames
+		res.MaxWorkload = t.maxW
+		res.MeanWorkload = t.sumW / float64(frames)
+	}
+	path, label := metPathChunked, profChunked
+	if len(e.closed) > 0 {
+		path, label = metPathStepped, profStepped
+	}
+	profiled(ctx, label, loop)
 	res.FinalW = e.w
-	res.MeanWorkload = sumW / float64(frames)
 	if res.ArrivedCells > 0 {
 		res.CLR = res.LostCells / res.ArrivedCells
 	}
 	metRuns.Inc()
-	metPathStepped.Inc()
+	path.Inc()
 	metCellsArrived.Add(res.ArrivedCells)
 	metCellsLost.Add(res.LostCells)
 	return res
 }
 
-// newRunEngine builds the engine for a finite-buffer Config.
-func newRunEngine(cfg Config) (*Engine, error) {
-	gens, err := sourceGenerators(cfg.Model, cfg.N, cfg.Seed)
-	if err != nil {
-		return nil, err
+// profiled runs f under ctx's pprof labels merged with l; a nil ctx runs
+// f unlabelled.
+func profiled(ctx context.Context, l prof.Labels, f func()) {
+	if ctx == nil {
+		f()
+		return
 	}
-	return newEngine(gens, float64(cfg.N)*cfg.C, float64(cfg.N)*cfg.B, cfg.Span), nil
+	prof.Do(ctx, l, func(context.Context) { f() })
 }
 
-// newBOPEngine builds the engine for an infinite-buffer BOPConfig.
-func newBOPEngine(cfg BOPConfig, span trace.Span) (*Engine, error) {
-	gens, err := sourceGenerators(cfg.Model, cfg.N, cfg.Seed)
-	if err != nil {
-		return nil, err
+// release returns pooled buffers and flushes the feedback counter. The
+// engine must not be used afterwards.
+func (e *engine) release() {
+	e.open.release()
+	if e.frame > 0 {
+		metFeedbackSteps.Add(int64(e.frame))
+		e.frame = 0
 	}
-	return newEngine(gens, float64(cfg.N)*cfg.C, math.Inf(1), span), nil
 }

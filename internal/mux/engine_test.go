@@ -54,11 +54,26 @@ func aimdModel(t testing.TB, a float64) traffic.Model {
 	return m
 }
 
+// steppedModel presents an open-loop model as a closed-loop one: each
+// source draws the same frames through NextFrame and ignores its
+// feedback. The engine then pulls its arrivals one frame at a time
+// instead of from the block aggregator's chunk fills, and delivers
+// feedback every frame; neither may change the sample path.
+type steppedModel struct{ traffic.Model }
+
+func (m steppedModel) NewGenerator(seed int64) traffic.Generator {
+	return steppedGen{m.Model.NewGenerator(seed)}
+}
+
+type steppedGen struct{ traffic.Generator }
+
+func (steppedGen) Observe(traffic.Feedback) {}
+
 func TestForceStepMatchesChunkedRun(t *testing.T) {
-	// The stepped engine must reproduce the chunked fast path exactly:
-	// the block contract makes open-loop sample paths invariant under
-	// Fill partitioning, and both paths share lindleyStep. Frames spans
-	// several chunk boundaries (chunkFrames = 4096).
+	// Per-frame NextFrame draws must reproduce the chunked block fills
+	// exactly: the block contract makes open-loop sample paths invariant
+	// under Fill partitioning, and both sum sources in source order.
+	// Frames spans several chunk boundaries (chunkFrames = 4096).
 	z, err := models.NewZ(0.975)
 	if err != nil {
 		t.Fatal(err)
@@ -68,13 +83,13 @@ func TestForceStepMatchesChunkedRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.ForceStep = true
+	cfg.Model = steppedModel{z}
 	stepped, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if chunked != stepped {
-		t.Fatalf("stepped engine drifted from chunked path:\nchunked %+v\nstepped %+v",
+		t.Fatalf("stepped body drifted from chunked body:\nchunked %+v\nstepped %+v",
 			chunked, stepped)
 	}
 }
@@ -90,7 +105,7 @@ func TestForceStepMatchesChunkedBOP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.ForceStep = true
+	cfg.Model = steppedModel{z}
 	stepped, err := RunBOP(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +134,7 @@ func TestForceStepMatchesChunkedSampleWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.ForceStep = true
+	cfg.Model = steppedModel{z}
 	stepped, err := SampleWorkload(cfg, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -159,8 +174,8 @@ func TestClosedLoopRunDeterministic(t *testing.T) {
 }
 
 func TestClosedLoopConservation(t *testing.T) {
-	// arrived = lost + served + ΔW must hold exactly in the stepped
-	// engine as it does in the chunked path; served ≤ C per frame bounds
+	// arrived = lost + served + ΔW must hold exactly for closed-loop
+	// runs as for open-loop ones; served ≤ C per frame bounds
 	// the serve volume.
 	cfg := Config{Model: aimdModel(t, 0.9), N: 5, C: 505, B: 20,
 		Frames: 4000, Seed: 3}
@@ -179,7 +194,7 @@ func TestClosedLoopConservation(t *testing.T) {
 
 func TestClosedLoopReplicationsEngineWorkers(t *testing.T) {
 	// Replication fan-out must be bit-identical for every worker count:
-	// each replication derives its own seed and the stepped engine is
+	// each replication derives its own seed and the frame loop is
 	// single-threaded within a replication.
 	cfg := Config{Model: aimdModel(t, 0.975), N: 6, C: 505, B: 15,
 		Frames: 3000, Warmup: 200, Seed: 1996}
@@ -216,9 +231,8 @@ func TestRunSweepRejectsClosedLoop(t *testing.T) {
 }
 
 func TestRunMixClosedLoop(t *testing.T) {
-	// A mix of open- and closed-loop sources drives the stepped path;
-	// repeated runs must agree exactly, and a pure-open-loop mix must be
-	// unaffected by ForceStep.
+	// A mix of open- and closed-loop sources must agree exactly across
+	// repeated runs.
 	z, err := models.NewZ(0.9)
 	if err != nil {
 		t.Fatal(err)
@@ -242,22 +256,6 @@ func TestRunMixClosedLoop(t *testing.T) {
 		t.Fatalf("closed-loop mix drifted:\nfirst %+v\nagain %+v", first, again)
 	}
 
-	open := MixConfig{
-		Mix:    core.Mix{{Model: z, Count: 4}, {Model: z, Count: 4}},
-		TotalC: 4080, TotalB: 160, Frames: 4000, Warmup: 200, Seed: 5,
-	}
-	chunked, err := RunMix(open)
-	if err != nil {
-		t.Fatal(err)
-	}
-	open.ForceStep = true
-	stepped, err := RunMix(open)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if chunked != stepped {
-		t.Fatalf("open-loop mix: stepped %+v != chunked %+v", stepped, chunked)
-	}
 }
 
 func TestCLREstimateEmpty(t *testing.T) {

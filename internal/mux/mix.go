@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/seed"
-	"repro/internal/trace"
 	"repro/internal/traffic"
 )
 
@@ -19,11 +18,6 @@ type MixConfig struct {
 	Frames int
 	Warmup int
 	Seed   int64
-	// Span parents the run's trace spans; observational only.
-	Span trace.Span
-	// ForceStep forces the per-frame stepped engine for open-loop mixes;
-	// see Config.ForceStep.
-	ForceStep bool
 }
 
 // Validate checks the configuration.
@@ -44,11 +38,9 @@ func (c MixConfig) Validate() error {
 }
 
 // RunMix executes one heterogeneous replication with the same fluid
-// Lindley dynamics as Run. A mix may combine open- and closed-loop
-// classes: when any component's generators tap the feedback loop the run
-// steps frame-by-frame (open-loop components keep their chunked block
-// fills inside the engine), otherwise the whole mix drains through the
-// chunked fast path bit-identically to the historical block pipeline.
+// Lindley dynamics and the same frame loop as Run. A mix may combine open-
+// and closed-loop classes: open-loop components keep their chunked block
+// fills, closed-loop ones add their frames one at a time.
 func RunMix(cfg MixConfig) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
@@ -70,51 +62,7 @@ func RunMix(cfg MixConfig) (Result, error) {
 			k++
 		}
 	}
-	eng := newEngine(gens, cfg.TotalC, cfg.TotalB, cfg.Span)
+	eng := newEngine(gens, cfg.TotalC, cfg.TotalB)
 	defer eng.release()
-	if eng.closedLoop() || cfg.ForceStep {
-		return runStepped(eng, cfg.Frames, cfg.Warmup, cfg.Span), nil
-	}
-
-	var w float64
-	for rem := cfg.Warmup; rem > 0; {
-		n := min(rem, chunkFrames)
-		for _, a := range eng.nextChunk(n) {
-			_, w = lindleyStep(w, a, cfg.TotalC, cfg.TotalB)
-		}
-		rem -= n
-	}
-	res := Result{Frames: cfg.Frames, InitialW: w}
-	var sumW float64
-	for rem := cfg.Frames; rem > 0; {
-		n := min(rem, chunkFrames)
-		chunk := eng.nextChunk(n)
-		stopDrain := metDrainTime.Start()
-		for _, a := range chunk {
-			res.ArrivedCells += a
-			loss, next := lindleyStep(w, a, cfg.TotalC, cfg.TotalB)
-			if loss > 0 {
-				res.LostCells += loss
-				res.LossFrames++
-			}
-			w = next
-			sumW += w
-			if w > res.MaxWorkload {
-				res.MaxWorkload = w
-			}
-		}
-		stopDrain()
-		metOccupancy.Observe(w)
-		rem -= n
-	}
-	res.FinalW = w
-	res.MeanWorkload = sumW / float64(cfg.Frames)
-	if res.ArrivedCells > 0 {
-		res.CLR = res.LostCells / res.ArrivedCells
-	}
-	metRuns.Inc()
-	metPathChunked.Inc()
-	metCellsArrived.Add(res.ArrivedCells)
-	metCellsLost.Add(res.LostCells)
-	return res, nil
+	return eng.run(nil, cfg.Warmup, cfg.Frames, nil), nil
 }

@@ -16,12 +16,12 @@
 // measures the buffer overflow probability P(W > x) that the paper's
 // large-deviations asymptotics estimate.
 //
-// Both runs are built on one stepped simulation core (Engine) around a
-// single shared Lindley kernel (lindleyStep). Open-loop sources are
-// drained in 4096-frame chunks exactly as the historical block pipeline
-// did; when any source is closed-loop (traffic.FeedbackGenerator) the run
-// advances frame-by-frame so the post-frame queue state can feed back
-// into generation.
+// Both runs, and heterogeneous mixes, are driven by one chunk-major frame
+// loop (engine) around a single shared Lindley kernel (lindleyStep).
+// Open-loop sources are generated in 4096-frame chunks; closed-loop
+// sources (traffic.FeedbackGenerator) add their frames one at a time
+// inside the chunk and see the post-frame queue state after every frame.
+// The coupled buffer sweep (RunSweep) keeps its own multi-buffer loop.
 package mux
 
 import (
@@ -32,19 +32,9 @@ import (
 	"repro/internal/runner"
 	"repro/internal/seed"
 	"repro/internal/stats"
-	"repro/internal/telemetry/prof"
-	"repro/internal/trace"
 	"repro/internal/traffic"
 
 	"context"
-)
-
-// Profiling labels for the two execution paths, mirroring the
-// mux_runs_total{path=...} counters: CPU samples inside the chunked
-// drain loops carry path=chunked, the per-frame engine path=stepped.
-var (
-	profChunked = prof.Labels{Path: "chunked"}
-	profStepped = prof.Labels{Path: "stepped"}
 )
 
 // Config describes one finite-buffer simulation replication.
@@ -56,21 +46,13 @@ type Config struct {
 	Frames int     // simulated frames after warm-up
 	Warmup int     // frames discarded before measurement
 	Seed   int64
-	// Span, when active, parents per-chunk "mux fill"/"mux drain" trace
-	// spans. Purely observational (never part of seeds or fingerprints);
-	// the zero Span disables chunk tracing at the cost of one branch.
-	Span trace.Span
-	// ForceStep drives the run through the per-frame stepped engine even
-	// when every source is open-loop. Results are bit-identical to the
-	// chunked fast path (the block contract makes sample paths invariant
-	// under Fill partitioning); only the per-frame overhead differs. Used
-	// by the equivalence tests and the engine benchmarks.
-	ForceStep bool
-	// Ctx, when non-nil, carries pprof profiling labels (figure, model,
-	// sweep point, lane — see internal/telemetry/prof) that Run merges
-	// with its own path label, so CPU samples taken inside the simulation
-	// loops attribute to experiment coordinates. Purely observational,
-	// like Span: never part of seeds, fingerprints or results.
+	// Ctx is the run's only instrumentation handle. When non-nil, the
+	// span it carries (trace.FromContext) parents per-chunk "mux fill"
+	// and "mux drain" spans, and its pprof labels (figure, model, sweep
+	// point, lane — see internal/telemetry/prof) are merged with the
+	// run's path label, so CPU samples attribute to experiment
+	// coordinates. A nil Ctx means no spans and no labels. Purely
+	// observational: never part of seeds, fingerprints or results.
 	Ctx context.Context
 }
 
@@ -113,77 +95,17 @@ type Result struct {
 // Run executes one finite-buffer replication. Source i uses a child seed
 // derived from cfg.Seed, so replications are reproducible and sources
 // mutually independent.
-//
-// With only open-loop sources, arrivals are pulled in chunkFrames-sized
-// blocks and the Lindley kernel runs over the contiguous aggregate slice;
-// the sample path is bit-identical to the per-frame scalar protocol. With
-// any closed-loop source the run steps frame-by-frame through the engine
-// so queue state feeds back into generation.
 func Run(cfg Config) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
-	eng, err := newRunEngine(cfg)
+	gens, err := sourceGenerators(cfg.Model, cfg.N, cfg.Seed)
 	if err != nil {
 		return Result{}, err
 	}
+	eng := newEngine(gens, float64(cfg.N)*cfg.C, float64(cfg.N)*cfg.B)
 	defer eng.release()
-	if eng.closedLoop() || cfg.ForceStep {
-		var res Result
-		prof.Do(cfg.Ctx, profStepped, func(context.Context) {
-			res = runStepped(eng, cfg.Frames, cfg.Warmup, cfg.Span)
-		})
-		return res, nil
-	}
-
-	var res Result
-	prof.Do(cfg.Ctx, profChunked, func(context.Context) {
-		totalC := float64(cfg.N) * cfg.C
-		totalB := float64(cfg.N) * cfg.B
-		var w float64
-		for rem := cfg.Warmup; rem > 0; {
-			n := min(rem, chunkFrames)
-			for _, a := range eng.nextChunk(n) {
-				_, w = lindleyStep(w, a, totalC, totalB)
-			}
-			rem -= n
-		}
-		res = Result{Frames: cfg.Frames, InitialW: w}
-		var sumW float64
-		for rem := cfg.Frames; rem > 0; {
-			n := min(rem, chunkFrames)
-			chunk := eng.nextChunk(n)
-			spDrain := cfg.Span.Child("mux drain", trace.Int("frames", n))
-			stopDrain := metDrainTime.Start()
-			for _, a := range chunk {
-				res.ArrivedCells += a
-				loss, next := lindleyStep(w, a, totalC, totalB)
-				if loss > 0 {
-					res.LostCells += loss
-					res.LossFrames++
-				}
-				w = next
-				sumW += w
-				if w > res.MaxWorkload {
-					res.MaxWorkload = w
-				}
-			}
-			stopDrain()
-			spDrain.End()
-			metOccupancy.Observe(w)
-			rem -= n
-		}
-		res.FinalW = w
-		res.MeanWorkload = sumW / float64(cfg.Frames)
-		if res.ArrivedCells > 0 {
-			res.CLR = res.LostCells / res.ArrivedCells
-		}
-	})
-	metRuns.Inc()
-	metPathChunked.Inc()
-	metCellsArrived.Add(res.ArrivedCells)
-	metCellsLost.Add(res.LostCells)
-	return res, nil
+	return eng.run(cfg.Ctx, cfg.Warmup, cfg.Frames, nil), nil
 }
 
 // ChildSeeds derives n per-source seeds from a master seed via the
@@ -265,8 +187,7 @@ func RunReplicationsEngine(ctx context.Context, eng *runner.Engine, cfg Config, 
 	return runner.Run(ctx, eng, spec, func(ctx context.Context, r runner.Rep) (Result, error) {
 		c := cfg
 		c.Seed = r.Seed
-		c.Span = trace.FromContext(ctx)
-		c.Ctx = ctx // carries the runner's lane label and the drivers' coordinates
+		c.Ctx = ctx // carries the replication span, the runner's lane label and the drivers' coordinates
 		res, err := Run(c)
 		if err != nil {
 			return Result{}, err
@@ -300,11 +221,7 @@ type BOPConfig struct {
 	Warmup     int     // discarded frames
 	Seed       int64
 	Thresholds []float64 // workload levels x (total cells) for P(W > x)
-	Span       trace.Span
-	// ForceStep forces the per-frame stepped engine for open-loop sources;
-	// see Config.ForceStep.
-	ForceStep bool
-	// Ctx carries pprof profiling labels; see Config.Ctx.
+	// Ctx carries the parent span and pprof labels; see Config.Ctx.
 	Ctx context.Context
 }
 
@@ -335,94 +252,36 @@ type BOPResult struct {
 	MaxW       float64
 }
 
-// countThresholds bumps counts[k] for every sorted threshold thr[k]
-// exceeded by workload w — shared by the chunked and stepped BOP loops.
-func countThresholds(w float64, thr []float64, counts []int) {
-	for j := len(thr) - 1; j >= 0; j-- {
-		if w > thr[j] {
-			for k := 0; k <= j; k++ {
-				counts[k]++
-			}
-			break
-		}
-	}
-}
-
 // RunBOP simulates the infinite-buffer workload recursion and estimates
 // P(W > x) at each threshold as the fraction of frame boundaries whose
-// workload exceeds x. Closed-loop sources drop the run to the per-frame
-// stepped engine (feedback carries Buffer = +Inf and zero loss — the
-// congestion signal is utilization alone).
+// workload exceeds x. Closed-loop sources see feedback with Buffer = +Inf
+// and zero loss — the congestion signal is utilization alone.
 func RunBOP(cfg BOPConfig) (BOPResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return BOPResult{}, err
 	}
 	thr := append([]float64(nil), cfg.Thresholds...)
 	sort.Float64s(thr)
-	eng, err := newBOPEngine(cfg, cfg.Span)
+	eng, err := newBOPEngine(cfg)
 	if err != nil {
 		return BOPResult{}, err
 	}
 	defer eng.release()
 	counts := make([]int, len(thr))
-	res := BOPResult{Thresholds: thr}
-
-	if eng.closedLoop() || cfg.ForceStep {
-		prof.Do(cfg.Ctx, profStepped, func(context.Context) {
-			for i := 0; i < cfg.Warmup; i++ {
-				eng.Step()
-			}
-			for rem := cfg.Frames; rem > 0; {
-				n := min(rem, chunkFrames)
-				sp := cfg.Span.Child("mux step", trace.Int("frames", n))
-				stopDrain := metDrainTime.Start()
-				for i := 0; i < n; i++ {
-					st := eng.Step()
-					if st.W > res.MaxW {
-						res.MaxW = st.W
+	r := eng.run(cfg.Ctx, cfg.Warmup, cfg.Frames, func(ws []float64) {
+		for _, w := range ws {
+			// Bump counts[k] for every sorted threshold thr[k] below w.
+			for j := len(thr) - 1; j >= 0; j-- {
+				if w > thr[j] {
+					for k := 0; k <= j; k++ {
+						counts[k]++
 					}
-					countThresholds(st.W, thr, counts)
+					break
 				}
-				stopDrain()
-				sp.End()
-				metOccupancy.Observe(eng.W())
-				rem -= n
 			}
-		})
-	} else {
-		prof.Do(cfg.Ctx, profChunked, func(context.Context) {
-			totalC := float64(cfg.N) * cfg.C
-			inf := math.Inf(1)
-			var w float64
-			for rem := cfg.Warmup; rem > 0; {
-				n := min(rem, chunkFrames)
-				for _, a := range eng.nextChunk(n) {
-					_, w = lindleyStep(w, a, totalC, inf)
-				}
-				rem -= n
-			}
-			for rem := cfg.Frames; rem > 0; {
-				n := min(rem, chunkFrames)
-				chunk := eng.nextChunk(n)
-				spDrain := cfg.Span.Child("mux drain", trace.Int("frames", n))
-				stopDrain := metDrainTime.Start()
-				for _, a := range chunk {
-					_, w = lindleyStep(w, a, totalC, inf)
-					if w > res.MaxW {
-						res.MaxW = w
-					}
-					countThresholds(w, thr, counts)
-				}
-				stopDrain()
-				spDrain.End()
-				metOccupancy.Observe(w)
-				rem -= n
-			}
-		})
-	}
-	metRuns.Inc()
-	metPathChunked.Inc()
-	res.Prob = make([]float64, len(thr))
+		}
+	})
+	res := BOPResult{Thresholds: thr, Prob: make([]float64, len(thr)), MaxW: r.MaxWorkload}
 	for i, c := range counts {
 		res.Prob[i] = float64(c) / float64(cfg.Frames)
 	}
@@ -445,51 +304,29 @@ func SampleWorkload(cfg BOPConfig, every int) ([]float64, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	eng, err := newBOPEngine(cfg, cfg.Span)
+	eng, err := newBOPEngine(cfg)
 	if err != nil {
 		return nil, err
 	}
 	defer eng.release()
 	out := make([]float64, 0, cfg.Frames/every+1)
-
-	if eng.closedLoop() || cfg.ForceStep {
-		prof.Do(cfg.Ctx, profStepped, func(context.Context) {
-			for i := 0; i < cfg.Warmup; i++ {
-				eng.Step()
+	frame := 0
+	eng.run(cfg.Ctx, cfg.Warmup, cfg.Frames, func(ws []float64) {
+		for _, w := range ws {
+			if frame%every == 0 {
+				out = append(out, w)
 			}
-			for frame := 0; frame < cfg.Frames; frame++ {
-				st := eng.Step()
-				if frame%every == 0 {
-					out = append(out, st.W)
-				}
-			}
-		})
-		return out, nil
-	}
-
-	prof.Do(cfg.Ctx, profChunked, func(context.Context) {
-		totalC := float64(cfg.N) * cfg.C
-		inf := math.Inf(1)
-		var w float64
-		for rem := cfg.Warmup; rem > 0; {
-			n := min(rem, chunkFrames)
-			for _, a := range eng.nextChunk(n) {
-				_, w = lindleyStep(w, a, totalC, inf)
-			}
-			rem -= n
-		}
-		frame := 0
-		for rem := cfg.Frames; rem > 0; {
-			n := min(rem, chunkFrames)
-			for _, a := range eng.nextChunk(n) {
-				_, w = lindleyStep(w, a, totalC, inf)
-				if frame%every == 0 {
-					out = append(out, w)
-				}
-				frame++
-			}
-			rem -= n
+			frame++
 		}
 	})
 	return out, nil
+}
+
+// newBOPEngine builds the infinite-buffer engine for cfg.
+func newBOPEngine(cfg BOPConfig) (*engine, error) {
+	gens, err := sourceGenerators(cfg.Model, cfg.N, cfg.Seed)
+	if err != nil {
+		return nil, err
+	}
+	return newEngine(gens, float64(cfg.N)*cfg.C, math.Inf(1)), nil
 }

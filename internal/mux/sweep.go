@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"repro/internal/runner"
-	"repro/internal/telemetry/prof"
 	"repro/internal/trace"
 	"repro/internal/traffic"
 )
@@ -50,8 +49,9 @@ func RunSweep(cfg Config, buffersCells []float64) ([]Result, error) {
 				cfg.Model.Name(), i)
 		}
 	}
+	parent := trace.FromContext(cfg.Ctx)
 	ba := newBlockAggregator(gens)
-	ba.span = cfg.Span
+	ba.span = parent
 	defer ba.release()
 	totalC := float64(cfg.N) * cfg.C
 	totalB := make([]float64, len(bs))
@@ -62,7 +62,7 @@ func RunSweep(cfg Config, buffersCells []float64) ([]Result, error) {
 	results := make([]Result, len(bs))
 	// Coupled sweeps are chunked by construction (closed-loop sources were
 	// rejected above), so the whole pass profiles as path=chunked.
-	prof.Do(cfg.Ctx, profChunked, func(context.Context) {
+	profiled(cfg.Ctx, profChunked, func() {
 		w := make([]float64, len(bs))
 		for rem := cfg.Warmup; rem > 0; {
 			n := min(rem, chunkFrames)
@@ -80,7 +80,7 @@ func RunSweep(cfg Config, buffersCells []float64) ([]Result, error) {
 		for rem := cfg.Frames; rem > 0; {
 			n := min(rem, chunkFrames)
 			chunk := ba.next(n)
-			spDrain := cfg.Span.Child("mux drain", trace.Int("frames", n))
+			spDrain := parent.Child("mux drain", trace.Int("frames", n))
 			stopDrain := metDrainTime.Start()
 			for _, a := range chunk {
 				for j := range w {
@@ -164,8 +164,7 @@ func SweepReplicationsEngine(ctx context.Context, eng *runner.Engine, cfg Config
 		func(ctx context.Context, r runner.Rep) ([]Result, error) {
 			c := cfg
 			c.Seed = r.Seed
-			c.Span = trace.FromContext(ctx)
-			c.Ctx = ctx // carries the runner's lane label and the drivers' coordinates
+			c.Ctx = ctx // carries the replication span, the runner's lane label and the drivers' coordinates
 			res, err := RunSweep(c, buffersCells)
 			if err != nil {
 				return nil, err

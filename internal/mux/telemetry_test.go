@@ -1,12 +1,14 @@
 package mux
 
 import (
+	"context"
 	"runtime/debug"
 	"strings"
 	"testing"
 
 	"repro/internal/models"
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 )
 
 // TestChunkPoolReuse proves via the telemetry counter pair that chunk
@@ -125,5 +127,68 @@ func TestTelemetryDoesNotPerturbResults(t *testing.T) {
 	}
 	if !found {
 		t.Error("no mux_* metrics in the default registry snapshot")
+	}
+}
+
+// TestCtxParentsDrainSpans checks that Ctx is the single instrumentation
+// handle: a live span carried by Ctx gets one "mux drain" child per
+// measured chunk from Run, RunBOP and RunSweep, and a nil Ctx runs with no
+// spans at all.
+func TestCtxParentsDrainSpans(t *testing.T) {
+	z, err := models.NewZ(0.9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const frames = chunkFrames + 100 // two measured chunks
+	cfg := Config{Model: z, N: 3, C: 520, B: 10, Frames: frames, Warmup: 50, Seed: 1}
+	bop := BOPConfig{Model: z, N: 3, C: 520, Frames: frames, Warmup: 50, Seed: 1, Thresholds: []float64{10}}
+	runs := map[string]func(ctx context.Context) error{
+		"Run": func(ctx context.Context) error {
+			c := cfg
+			c.Ctx = ctx
+			_, err := Run(c)
+			return err
+		},
+		"RunBOP": func(ctx context.Context) error {
+			c := bop
+			c.Ctx = ctx
+			_, err := RunBOP(c)
+			return err
+		},
+		"RunSweep": func(ctx context.Context) error {
+			c := cfg
+			c.Ctx = ctx
+			_, err := RunSweep(c, []float64{0, 10})
+			return err
+		},
+	}
+	for name, run := range runs {
+		if err := run(nil); err != nil {
+			t.Fatalf("%s with nil Ctx: %v", name, err)
+		}
+		tr := trace.New()
+		root := tr.Root("test")
+		if err := run(trace.ContextWith(context.Background(), root)); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		root.End()
+		var rootID uint64
+		for _, r := range tr.Records() {
+			if r.Name == "test" {
+				rootID = r.ID
+			}
+		}
+		drains := 0
+		for _, r := range tr.Records() {
+			if r.Name == "mux drain" {
+				if r.Parent != rootID {
+					t.Errorf("%s: mux drain span parented by %d, want root %d", name, r.Parent, rootID)
+				}
+				drains++
+			}
+		}
+		if drains != 2 {
+			t.Errorf("%s: %d mux drain spans, want 2", name, drains)
+		}
 	}
 }

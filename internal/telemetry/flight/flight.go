@@ -27,7 +27,7 @@
 //  3. The snapshot goroutine must not leak. Stop reaps it (wait group +
 //     done channel), and the package's tests run under leakcheck.Main.
 //
-// Consistency model (DESIGN.md §15): each instrument in a frame is read
+// Consistency model (DESIGN.md §14): each instrument in a frame is read
 // atomically, so per-metric series are exact — a counter can never
 // decrease across frames. The set of instruments is NOT fenced: a frame
 // is not a consistent cut across metrics, which is the usual (and here
@@ -265,7 +265,7 @@ func (r *Recorder) Len() int {
 }
 
 // HistoryHandler serves the ring as JSON — mounted at /vars/history by
-// the CLIs' telemetry endpoints and the admitd mux:
+// the CLIs' telemetry endpoints:
 //
 //	{"interval_seconds": 1, "frames": [{"seq":0, "elapsed_seconds":..., "metrics":[...]}, ...]}
 //

@@ -61,8 +61,9 @@ const (
 	KeySweepPoint = "sweep_point"
 	// KeyModel is the traffic model name (V, Z, S, L, aimd:..., ...).
 	KeyModel = "model"
-	// KeyPath distinguishes the mux execution paths: "chunked" (open-loop
-	// block streaming) vs "stepped" (closed-loop per-frame engine).
+	// KeyPath tells mux runs apart by their sources: "chunked" when every
+	// source is open-loop, "stepped" when any closed-loop source takes
+	// per-frame feedback.
 	KeyPath = "path"
 	// KeyLane is the runner worker lane (1-based), matching the lane
 	// labels on runner_lane_reps_done_total and trace spans.

@@ -22,7 +22,7 @@ func TestParse(t *testing.T) {
 		in   string
 		want string // normalised Expr
 	}{
-		{"p99(admitd_decision_seconds) <= 0.01", "p99(admitd_decision_seconds) <= 0.01"},
+		{"p99(mux_chunk_drain_seconds) <= 0.01", "p99(mux_chunk_drain_seconds) <= 0.01"},
 		{"  P95( lat ) < 2 ", "p95(lat) < 2"},
 		{"rate(mux_cells_lost_total) within [0, 1e6]", "rate(mux_cells_lost_total) within [0, 1e+06]"},
 		{"value(x{b=2,a=1}) == 0", "value(x{a=1,b=2}) == 0"},

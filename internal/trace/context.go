@@ -16,8 +16,12 @@ func ContextWith(ctx context.Context, sp Span) context.Context {
 	return context.WithValue(ctx, ctxKey{}, sp)
 }
 
-// FromContext returns the span carried by ctx, or the zero (no-op) Span.
+// FromContext returns the span carried by ctx, or the zero (no-op) Span
+// when ctx carries none or is nil.
 func FromContext(ctx context.Context) Span {
+	if ctx == nil {
+		return Span{}
+	}
 	sp, _ := ctx.Value(ctxKey{}).(Span)
 	return sp
 }

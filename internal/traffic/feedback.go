@@ -3,7 +3,7 @@ package traffic
 import "math"
 
 // Feedback is the per-frame multiplexer state handed to closed-loop
-// sources by the stepped simulation engine (mux.Engine). All quantities
+// sources by the multiplexer's frame loop (package mux). All quantities
 // describe the frame that has just been served, after its Lindley update:
 // the source observing the feedback may use it to shape the *next* frame
 // it emits.
@@ -43,7 +43,7 @@ func (f Feedback) Occupancy() float64 {
 }
 
 // FeedbackGenerator is a Generator whose emission adapts to multiplexer
-// feedback — a closed-loop source. The stepped engine calls Observe
+// feedback — a closed-loop source. The multiplexer calls Observe
 // exactly once per simulated frame (warm-up included), immediately after
 // the frame's Lindley update and before the next NextFrame call, so the
 // generator sees an uninterrupted queue-state sequence.
@@ -63,9 +63,8 @@ type FeedbackGenerator interface {
 	Observe(fb Feedback)
 }
 
-// IsClosedLoop reports whether g adapts to multiplexer feedback. The
-// stepped engine uses this to decide between the chunked open-loop fast
-// path and per-frame stepping.
+// IsClosedLoop reports whether g adapts to multiplexer feedback, and so
+// cannot share an arrival path across buffer sizes.
 func IsClosedLoop(g Generator) bool {
 	_, ok := g.(FeedbackGenerator)
 	return ok

@@ -16,16 +16,14 @@
 // e.g. //lint:floateq identical bits are never drift. Bare waivers,
 // waivers naming unknown analyzers, expired waivers and waivers that
 // suppress nothing are themselves findings. Use -list to print the
-// registered analyzers and the invariant each one encodes.
+// registered analyzers and the invariant each one encodes, and -run to
+// lint with a subset of the suite:
 //
-// Reporting and debt management:
+//	repolint -run seedflow,floateq ./...
 //
-//	repolint -json                          # findings as JSON on stdout
-//	repolint -sarif out.sarif               # SARIF 2.1.0 for CI code scanning
-//	repolint -baseline lint_baseline.json   # suppress known findings
-//	repolint -write-baseline lint_baseline.json   # accept current findings
-//	repolint -run seedflow,hotalloc         # subset of the suite
-//	repolint -write-escape-budget           # re-baseline hot-path escapes
+// Findings print one per line as file:line:col: message [analyzer], with
+// module-relative paths; the exit code is 1 on any finding and 2 on a
+// usage or load error.
 package main
 
 import (
@@ -50,13 +48,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	dir := fs.String("C", "", "module root to lint (default: walk up from the working directory)")
 	list := fs.Bool("list", false, "print the registered analyzers and exit")
 	runNames := fs.String("run", "", "comma-separated analyzer subset to run (default: full suite)")
-	jsonOut := fs.Bool("json", false, "emit findings as JSON on stdout")
-	sarifPath := fs.String("sarif", "", "also write findings as SARIF 2.1.0 to this file")
-	baselinePath := fs.String("baseline", "", "suppress findings matching this baseline file")
-	writeBaseline := fs.String("write-baseline", "", "write current findings to this baseline file and exit 0")
-	writeEscapes := fs.Bool("write-escape-budget", false, "re-baseline results/golden/escape_budget.json from the current hot-path escapes and exit")
 	fs.Usage = func() {
-		fmt.Fprintln(stderr, "usage: repolint [-C dir] [-list] [-run names] [-json] [-sarif file] [-baseline file] [-write-baseline file] [-write-escape-budget] [packages]")
+		fmt.Fprintln(stderr, "usage: repolint [-C dir] [-list] [-run names] [packages]")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -92,126 +85,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		root = abs
 	}
 
-	if *writeEscapes {
-		return regenEscapeBudget(root, stdout, stderr)
-	}
-
 	diags, err := analysis.LintModuleWith(root, analyzers, analysis.RunOptions{Now: time.Now()})
 	if err != nil {
 		fmt.Fprintln(stderr, "repolint:", err)
 		return 2
 	}
-	findings := analysis.Findings(diags, root)
-
-	if *writeBaseline != "" {
-		if err := analysis.WriteBaseline(*writeBaseline, findings); err != nil {
-			fmt.Fprintln(stderr, "repolint:", err)
-			return 2
+	for _, d := range diags {
+		if rel, err := filepath.Rel(root, d.Pos.Filename); err == nil && !strings.HasPrefix(rel, "..") {
+			d.Pos.Filename = filepath.ToSlash(rel)
 		}
-		fmt.Fprintf(stderr, "repolint: wrote %d finding(s) to %s\n", len(findings), *writeBaseline)
-		return 0
+		fmt.Fprintln(stdout, d)
 	}
-
-	suppressed := 0
-	if *baselinePath != "" {
-		base, err := analysis.LoadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(stderr, "repolint:", err)
-			return 2
-		}
-		var stale []analysis.Finding
-		findings, suppressed, stale = base.Apply(findings)
-		// Paid-down debt is a nudge, not a failure: the baseline should
-		// shrink in the same PR, but blocking on it would punish fixes.
-		for _, f := range stale {
-			fmt.Fprintf(stderr, "repolint: baseline entry no longer matches (fixed?): %s:%d %s [%s]\n",
-				f.File, f.Line, f.Message, f.Analyzer)
-		}
-	}
-
-	report := &analysis.Report{
-		Schema:     1,
-		Module:     root,
-		Analyzers:  analyzerNames(analyzers),
-		Findings:   findings,
-		Suppressed: suppressed,
-	}
-	if *sarifPath != "" {
-		f, err := os.Create(*sarifPath)
-		if err == nil {
-			err = report.WriteSARIF(f, analyzers)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintln(stderr, "repolint:", err)
-			return 2
-		}
-	}
-	if *jsonOut {
-		if err := report.WriteJSON(stdout); err != nil {
-			fmt.Fprintln(stderr, "repolint:", err)
-			return 2
-		}
-	} else {
-		for _, f := range findings {
-			fmt.Fprintf(stdout, "%s:%d:%d: %s [%s]\n", f.File, f.Line, f.Col, f.Message, f.Analyzer)
-		}
-	}
-	if len(findings) > 0 {
-		fmt.Fprintf(stderr, "repolint: %d finding(s)", len(findings))
-		if suppressed > 0 {
-			fmt.Fprintf(stderr, " (%d suppressed by baseline)", suppressed)
-		}
-		fmt.Fprintln(stderr)
+	if len(diags) > 0 {
+		fmt.Fprintf(stderr, "repolint: %d finding(s)\n", len(diags))
 		return 1
 	}
-	if suppressed > 0 {
-		fmt.Fprintf(stderr, "repolint: clean (%d suppressed by baseline)\n", suppressed)
-	}
-	return 0
-}
-
-func analyzerNames(analyzers []*analysis.Analyzer) []string {
-	names := make([]string, len(analyzers))
-	for i, a := range analyzers {
-		names[i] = a.Name
-	}
-	return names
-}
-
-// regenEscapeBudget recomputes the hot-path escape baseline. The hot-path
-// set is taken from the existing budget file when present, else the
-// repository default, so a re-baseline never silently drops a package
-// from the fence.
-func regenEscapeBudget(root string, stdout, stderr io.Writer) int {
-	hotPaths := analysis.DefaultHotPaths
-	if existing, err := analysis.LoadEscapeBudget(root); err != nil {
-		fmt.Fprintln(stderr, "repolint:", err)
-		return 2
-	} else if existing != nil && len(existing.HotPaths) > 0 {
-		hotPaths = existing.HotPaths
-	}
-	budget, err := analysis.BuildEscapeBudget(root, hotPaths)
-	if err != nil {
-		fmt.Fprintln(stderr, "repolint:", err)
-		return 2
-	}
-	if err := analysis.WriteEscapeBudget(root, budget); err != nil {
-		fmt.Fprintln(stderr, "repolint:", err)
-		return 2
-	}
-	total := 0
-	for _, fns := range budget.Budgets {
-		for _, msgs := range fns {
-			for _, n := range msgs {
-				total += n
-			}
-		}
-	}
-	fmt.Fprintf(stdout, "repolint: escape budget re-baselined: %d site(s) across %d hot package(s) (%s)\n",
-		total, len(hotPaths), budget.Go)
 	return 0
 }
 

@@ -40,12 +40,12 @@ func moduleRoot(t *testing.T) string {
 	}
 }
 
-// TestSuiteRegistersNineAnalyzers pins the suite's contents: DESIGN.md
-// §11 documents exactly these nine invariants. This list is the single
+// TestSuiteRegistersEightAnalyzers pins the suite's contents: DESIGN.md
+// §11 documents exactly these eight invariants. This list is the single
 // source of truth for the suite contract; cmd/repolint's tests derive
 // their expectations from analysis.All() rather than repeating it.
-func TestSuiteRegistersNineAnalyzers(t *testing.T) {
-	want := []string{"rngsource", "walltime", "maporder", "printguard", "floateq", "pprofimport", "proflabels", "seedflow", "hotalloc"}
+func TestSuiteRegistersEightAnalyzers(t *testing.T) {
+	want := []string{"rngsource", "walltime", "maporder", "printguard", "floateq", "pprofimport", "proflabels", "seedflow"}
 	all := analysis.All()
 	if len(all) != len(want) {
 		t.Fatalf("All() returned %d analyzers, want %d", len(all), len(want))
@@ -80,9 +80,9 @@ func TestRepositoryIsClean(t *testing.T) {
 
 // TestByName pins the -run subset resolution including its error shape.
 func TestByName(t *testing.T) {
-	got, err := analysis.ByName("seedflow", "hotalloc")
-	if err != nil || len(got) != 2 || got[0].Name != "seedflow" || got[1].Name != "hotalloc" {
-		t.Fatalf("ByName(seedflow, hotalloc) = %v, %v", got, err)
+	got, err := analysis.ByName("seedflow", "floateq")
+	if err != nil || len(got) != 2 || got[0].Name != "seedflow" || got[1].Name != "floateq" {
+		t.Fatalf("ByName(seedflow, floateq) = %v, %v", got, err)
 	}
 	if _, err := analysis.ByName("nosuch"); err == nil {
 		t.Fatal("ByName(nosuch) succeeded, want error")

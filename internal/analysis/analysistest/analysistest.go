@@ -53,7 +53,7 @@ func Run(t *testing.T, moduleDir string, a *analysis.Analyzer, pkgPaths ...strin
 		}
 		// No expiry clock: fixture waiver expiry is covered by unit tests
 		// with pinned dates so fixtures never rot as the calendar advances.
-		opts := analysis.RunOptions{Resolver: l, ModuleDir: l.Dir}
+		opts := analysis.RunOptions{Resolver: l}
 		diags, err := analysis.RunAnalyzers(pkg, l.Fset, []*analysis.Analyzer{a}, opts)
 		if err != nil {
 			t.Errorf("running %s on %s: %v", a.Name, path, err)

@@ -16,7 +16,6 @@ var registry = []*Analyzer{
 	PprofImport,
 	ProfLabels,
 	SeedFlow,
-	HotAlloc,
 }
 
 // All returns the full analyzer suite in registration order.

@@ -43,27 +43,3 @@ func ExampleBahadurRao() {
 	// Output:
 	// P(W > B) ≈ 5.4e-05
 }
-
-// ExampleMixBahadurRao sizes a heterogeneous multiplex: LRD video sharing
-// a link with Markov videoconference traffic.
-func ExampleMixBahadurRao() {
-	z, err := models.NewZ(0.975)
-	if err != nil {
-		log.Fatal(err)
-	}
-	d, err := models.FitS(z, 1)
-	if err != nil {
-		log.Fatal(err)
-	}
-	mix := core.Mix{
-		{Model: z, Count: 15},
-		{Model: d, Count: 15},
-	}
-	bop, err := core.MixBahadurRao(mix, 538*30, 134.5*30, 0)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("mixed-link P(W > B) ≈ %.0e\n", bop)
-	// Output:
-	// mixed-link P(W > B) ≈ 1e-06
-}

@@ -97,7 +97,7 @@ func newBlockAggregator(gens []traffic.Generator) *blockAggregator {
 // (n ≤ chunkFrames). The returned slice is owned by the aggregator and
 // valid until the next call to next or release.
 func (b *blockAggregator) next(n int) []float64 {
-	defer b.span.Child("mux fill", trace.Int("frames", n)).End()
+	defer chunkSpan(b.span, "mux fill", n).End()
 	defer metFillTime.Start()()
 	agg := (*b.agg)[:n]
 	tmp := (*b.tmp)[:n]
@@ -112,6 +112,17 @@ func (b *blockAggregator) next(n int) []float64 {
 	}
 	metFrames.Add(int64(n))
 	return agg
+}
+
+// chunkSpan starts the per-chunk child span name of parent, annotated
+// with the chunk's frame count. The attribute is built only under a live
+// parent: boxing n into an Attr allocates, and the zero parent's child
+// would discard it.
+func chunkSpan(parent trace.Span, name string, n int) trace.Span {
+	if !parent.Active() {
+		return trace.Span{}
+	}
+	return parent.Child(name, trace.Int("frames", n))
 }
 
 // release returns the chunk buffers to the pool. The aggregator must not

@@ -156,7 +156,7 @@ func (e *engine) run(ctx context.Context, warmup, frames int, scan func(ws []flo
 		for rem := frames; rem > 0; {
 			n := min(rem, chunkFrames)
 			ws := e.open.next(n)
-			sp := parent.Child("mux drain", trace.Int("frames", n))
+			sp := chunkSpan(parent, "mux drain", n)
 			stopDrain := metDrainTime.Start()
 			e.advance(ws, &t)
 			stopDrain()

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/models"
 	"repro/internal/runner"
 	"repro/internal/stats"
@@ -69,7 +68,7 @@ type steppedGen struct{ traffic.Generator }
 
 func (steppedGen) Observe(traffic.Feedback) {}
 
-func TestForceStepMatchesChunkedRun(t *testing.T) {
+func TestSteppedSourcesMatchChunkedRun(t *testing.T) {
 	// Per-frame NextFrame draws must reproduce the chunked block fills
 	// exactly: the block contract makes open-loop sample paths invariant
 	// under Fill partitioning, and both sum sources in source order.
@@ -94,7 +93,7 @@ func TestForceStepMatchesChunkedRun(t *testing.T) {
 	}
 }
 
-func TestForceStepMatchesChunkedBOP(t *testing.T) {
+func TestSteppedSourcesMatchChunkedBOP(t *testing.T) {
 	z, err := models.NewZ(0.9)
 	if err != nil {
 		t.Fatal(err)
@@ -121,31 +120,6 @@ func TestForceStepMatchesChunkedBOP(t *testing.T) {
 	}
 	if chunked.MaxW != stepped.MaxW {
 		t.Fatalf("max workload: chunked %v != stepped %v", chunked.MaxW, stepped.MaxW)
-	}
-}
-
-func TestForceStepMatchesChunkedSampleWorkload(t *testing.T) {
-	z, err := models.NewZ(0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := BOPConfig{Model: z, N: 5, C: 510, Frames: 9000, Seed: 11}
-	chunked, err := SampleWorkload(cfg, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Model = steppedModel{z}
-	stepped, err := SampleWorkload(cfg, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(chunked) != len(stepped) {
-		t.Fatalf("sample count mismatch: %d vs %d", len(chunked), len(stepped))
-	}
-	for i := range chunked {
-		if chunked[i] != stepped[i] {
-			t.Fatalf("sample %d: chunked %v != stepped %v", i, chunked[i], stepped[i])
-		}
 	}
 }
 
@@ -230,34 +204,6 @@ func TestRunSweepRejectsClosedLoop(t *testing.T) {
 	}
 }
 
-func TestRunMixClosedLoop(t *testing.T) {
-	// A mix of open- and closed-loop sources must agree exactly across
-	// repeated runs.
-	z, err := models.NewZ(0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mix := MixConfig{
-		Mix: core.Mix{
-			{Model: z, Count: 4},
-			{Model: aimdModel(t, 0.9), Count: 4},
-		},
-		TotalC: 4080, TotalB: 160, Frames: 4000, Warmup: 200, Seed: 5,
-	}
-	first, err := RunMix(mix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, err := RunMix(mix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first != again {
-		t.Fatalf("closed-loop mix drifted:\nfirst %+v\nagain %+v", first, again)
-	}
-
-}
-
 func TestCLREstimateEmpty(t *testing.T) {
 	got := CLREstimate(nil, 0.95)
 	want := stats.CI{Level: 0.95}
@@ -268,15 +214,5 @@ func TestCLREstimateEmpty(t *testing.T) {
 	want = stats.CI{Level: 0.9}
 	if got != want {
 		t.Fatalf("CLREstimate(empty) = %+v, want %+v", got, want)
-	}
-}
-
-func TestSampleWorkloadEveryValidation(t *testing.T) {
-	m := iidGaussian(t, 500, 5000)
-	cfg := BOPConfig{Model: m, N: 5, C: 510, Frames: 100, Seed: 1}
-	for _, every := range []int{0, -1, -100} {
-		if _, err := SampleWorkload(cfg, every); err == nil {
-			t.Fatalf("every=%d should error", every)
-		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/models"
 )
 
@@ -30,9 +29,9 @@ func bopBits(r BOPResult) []float64 {
 	return append(append(append([]float64(nil), r.Thresholds...), r.Prob...), r.MaxW)
 }
 
-// goldenCases covers open-loop, closed-loop, mixed and all-closed-loop
-// sources through Run, RunBOP, SampleWorkload and RunMix, including
-// warm-ups longer than one chunk (chunkFrames = 4096) and zero buffers.
+// goldenCases covers open-loop and closed-loop sources through Run and
+// RunBOP, including warm-ups longer than one chunk (chunkFrames = 4096)
+// and zero buffers.
 func goldenCases(t *testing.T) []goldenCase {
 	t.Helper()
 	z975, err := models.NewZ(0.975)
@@ -66,15 +65,6 @@ func goldenCases(t *testing.T) []goldenCase {
 			return bopBits(r), err
 		}
 	}
-	sample := func(cfg BOPConfig, every int) func() ([]float64, error) {
-		return func() ([]float64, error) { return SampleWorkload(cfg, every) }
-	}
-	mix := func(cfg MixConfig) func() ([]float64, error) {
-		return func() ([]float64, error) {
-			r, err := RunMix(cfg)
-			return resultBits(r), err
-		}
-	}
 	thr := []float64{0, 50, 200, 1000}
 	return []goldenCase{
 		{"run/open/z0.975", run(Config{Model: z975, N: 10, C: 520, B: 30, Frames: 9000, Warmup: 500, Seed: 42})},
@@ -85,23 +75,12 @@ func goldenCases(t *testing.T) []goldenCase {
 		{"bop/open/z0.9", bop(BOPConfig{Model: z9, N: 5, C: 510, Frames: 9000, Warmup: 300, Seed: 7, Thresholds: thr})},
 		{"bop/open/dar1-long-warmup", bop(BOPConfig{Model: dar1, N: 8, C: 520, Frames: 6000, Warmup: 5000, Seed: 8, Thresholds: thr})},
 		{"bop/closed/aimd-dar1", bop(BOPConfig{Model: aimdDAR, N: 5, C: 510, Frames: 6000, Warmup: 4200, Seed: 9, Thresholds: thr})},
-		{"sample/open/z0.9", sample(BOPConfig{Model: z9, N: 5, C: 510, Frames: 6000, Warmup: 4500, Seed: 11}, 13)},
-		{"sample/closed/aimd-dar1", sample(BOPConfig{Model: aimdDAR, N: 4, C: 505, Frames: 6000, Warmup: 100, Seed: 12}, 13)},
-		{"mix/open/z0.9+dar1", mix(MixConfig{Mix: core.Mix{{Model: z9, Count: 4}, {Model: dar1, Count: 4}},
-			TotalC: 4160, TotalB: 160, Frames: 9000, Warmup: 4500, Seed: 5})},
-		{"mix/mixed/z0.9+aimd-z0.9", mix(MixConfig{Mix: core.Mix{{Model: z9, Count: 4}, {Model: aimdZ, Count: 4}},
-			TotalC: 4080, TotalB: 160, Frames: 6000, Warmup: 200, Seed: 5})},
-		{"mix/mixed/aimd-dar1+dar1-b0", mix(MixConfig{Mix: core.Mix{{Model: aimdDAR, Count: 3}, {Model: dar1, Count: 3}},
-			TotalC: 3090, TotalB: 0, Frames: 5000, Warmup: 4300, Seed: 6})},
-		{"mix/closed/aimd-z0.9+aimd-dar1", mix(MixConfig{Mix: core.Mix{{Model: aimdZ, Count: 3}, {Model: aimdDAR, Count: 3}},
-			TotalC: 3060, TotalB: 90, Frames: 6000, Warmup: 300, Seed: 13})},
 	}
 }
 
-// TestPathsGolden pins the outputs of Run, RunBOP, SampleWorkload and
-// RunMix to values captured from the earlier two-path implementation
-// (separate chunked and per-frame drain loops). Every float is compared
-// by its bits (rtol 0). The test only reads the file: it pins the
+// TestPathsGolden pins the outputs of Run and RunBOP to values captured
+// from the earlier two-path implementation (separate chunked and
+// per-frame drain loops). Every float is compared by its bits (rtol 0). The test only reads the file: it pins the
 // earlier implementation, so it is never regenerated from this code.
 func TestPathsGolden(t *testing.T) {
 	if testing.Short() {

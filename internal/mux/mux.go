@@ -16,11 +16,11 @@
 // measures the buffer overflow probability P(W > x) that the paper's
 // large-deviations asymptotics estimate.
 //
-// Both runs, and heterogeneous mixes, are driven by one chunk-major frame
-// loop (engine) around a single shared Lindley kernel (lindleyStep).
-// Open-loop sources are generated in 4096-frame chunks; closed-loop
-// sources (traffic.FeedbackGenerator) add their frames one at a time
-// inside the chunk and see the post-frame queue state after every frame.
+// Both runs are driven by one chunk-major frame loop (engine) around a
+// single shared Lindley kernel (lindleyStep). Open-loop sources are
+// generated in 4096-frame chunks; closed-loop sources
+// (traffic.FeedbackGenerator) add their frames one at a time inside the
+// chunk and see the post-frame queue state after every frame.
 // The coupled buffer sweep (RunSweep) keeps its own multi-buffer loop.
 package mux
 
@@ -286,40 +286,6 @@ func RunBOP(cfg BOPConfig) (BOPResult, error) {
 		res.Prob[i] = float64(c) / float64(cfg.Frames)
 	}
 	return res, nil
-}
-
-// SampleWorkload runs the infinite-buffer workload recursion and returns
-// every `every`-th frame-boundary workload (total cells), for studying the
-// shape of the stationary queue distribution — e.g. distinguishing the
-// Weibull body of LRD input from the exponential body of Markov input on
-// a log-survival plot. The sampling stride must be ≥ 1; every < 1 is an
-// error, never a silent full-rate or empty sample.
-func SampleWorkload(cfg BOPConfig, every int) ([]float64, error) {
-	if every < 1 {
-		return nil, fmt.Errorf("mux: sampling stride %d must be ≥ 1", every)
-	}
-	// Thresholds are irrelevant here but Validate demands one.
-	c := cfg
-	c.Thresholds = []float64{0}
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	eng, err := newBOPEngine(cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer eng.release()
-	out := make([]float64, 0, cfg.Frames/every+1)
-	frame := 0
-	eng.run(cfg.Ctx, cfg.Warmup, cfg.Frames, func(ws []float64) {
-		for _, w := range ws {
-			if frame%every == 0 {
-				out = append(out, w)
-			}
-			frame++
-		}
-	})
-	return out, nil
 }
 
 // newBOPEngine builds the infinite-buffer engine for cfg.

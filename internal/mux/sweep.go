@@ -80,7 +80,7 @@ func RunSweep(cfg Config, buffersCells []float64) ([]Result, error) {
 		for rem := cfg.Frames; rem > 0; {
 			n := min(rem, chunkFrames)
 			chunk := ba.next(n)
-			spDrain := parent.Child("mux drain", trace.Int("frames", n))
+			spDrain := chunkSpan(parent, "mux drain", n)
 			stopDrain := metDrainTime.Start()
 			for _, a := range chunk {
 				for j := range w {

@@ -132,8 +132,8 @@ func TestTelemetryDoesNotPerturbResults(t *testing.T) {
 
 // TestCtxParentsDrainSpans checks that Ctx is the single instrumentation
 // handle: a live span carried by Ctx gets one "mux drain" child per
-// measured chunk from Run, RunBOP and RunSweep, and a nil Ctx runs with no
-// spans at all.
+// measured chunk from Run, RunBOP and RunSweep, every chunk span carries
+// its frame count, and a nil Ctx runs with no spans at all.
 func TestCtxParentsDrainSpans(t *testing.T) {
 	z, err := models.NewZ(0.9)
 	if err != nil {
@@ -178,17 +178,38 @@ func TestCtxParentsDrainSpans(t *testing.T) {
 				rootID = r.ID
 			}
 		}
-		drains := 0
+		drains, drained, filled := 0, 0, 0
 		for _, r := range tr.Records() {
-			if r.Name == "mux drain" {
+			switch r.Name {
+			case "mux drain":
 				if r.Parent != rootID {
 					t.Errorf("%s: mux drain span parented by %d, want root %d", name, r.Parent, rootID)
 				}
 				drains++
+				drained += framesAttr(t, r)
+			case "mux fill":
+				filled += framesAttr(t, r)
 			}
 		}
 		if drains != 2 {
 			t.Errorf("%s: %d mux drain spans, want 2", name, drains)
 		}
+		if drained != frames || filled != cfg.Warmup+frames {
+			t.Errorf("%s: frames attributes sum to %d drained, %d filled; want %d, %d",
+				name, drained, filled, frames, cfg.Warmup+frames)
+		}
 	}
+}
+
+// framesAttr returns the chunk span's "frames" attribute, failing the test
+// when the span lacks it.
+func framesAttr(t *testing.T, r trace.Record) int {
+	t.Helper()
+	for _, a := range r.Attrs {
+		if a.Key == "frames" {
+			return a.Value.(int)
+		}
+	}
+	t.Errorf("%s span has no frames attribute: %v", r.Name, r.Attrs)
+	return 0
 }

@@ -65,6 +65,10 @@ func BenchmarkFig3ACFPanels(b *testing.B) {
 	}
 }
 
+// BenchmarkFig4CTS and BenchmarkFig5BOP evaluate the process-shared V^v
+// and Z^a models, whose moments caches persist across iterations: the
+// first iteration pays the ACF walks, later ones price the scans alone.
+// BenchmarkMomentsWalk and BenchmarkCTSSweep price fresh walks.
 func BenchmarkFig4CTS(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.Fig4(); err != nil {
@@ -429,6 +433,40 @@ func BenchmarkEngineStepClosedLoop(b *testing.B) {
 	}
 	b.ReportMetric(float64(cfg.N)*float64(cfg.Frames)*float64(b.N)/b.Elapsed().Seconds(),
 		"frames/sec")
+}
+
+// BenchmarkMomentsWalk prices the one-time ACF walk behind every cached
+// moments view: a fresh traffic.Moments per iteration extended through
+// 2^20 lags by one VarSum, reported per lag.
+func BenchmarkMomentsWalk(b *testing.B) {
+	const lags = 1 << 20
+	v, err := models.NewV(1.5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	z, err := models.NewZ(0.975)
+	if err != nil {
+		b.Fatal(err)
+	}
+	l, err := models.NewL()
+	if err != nil {
+		b.Fatal(err)
+	}
+	d, err := models.FitS(z, 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		m    traffic.Model
+	}{{"V1.5", v}, {"Z0.975", z}, {"L", l}, {"DAR3", d}} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				traffic.NewMoments(c.m).VarSum(lags + 1)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/lags, "ns/lag")
+		})
+	}
 }
 
 // BenchmarkCTSSweep prices a full Fig-4-style buffer sweep against one

@@ -42,6 +42,10 @@ func Moments(m traffic.Model) *traffic.Moments {
 	return v.(*traffic.Moments)
 }
 
+// prefixChunk is how many lags past its current need a CTS scan extends
+// the moments view at a time.
+const prefixChunk = 4096
+
 // CTSMoments computes the critical time scale against a cached moment
 // view: each objective evaluation is O(1) after the one-time lag
 // extension, so sweeping many operating points against one model costs
@@ -56,9 +60,16 @@ func CTSMoments(mo *traffic.Moments, op Operating, maxM int) (CTSResult, error) 
 		maxM = DefaultMaxM
 	}
 	drift := op.C - mo.Mean()
+	// The scan reads V(1), V(2), … in order, so it works from a snapshot of
+	// the prefix tables and locks the view again only when it runs off the
+	// end, extending by at most prefixChunk lags past what it needs.
+	var pre traffic.Prefix
 	obj := func(m int) float64 {
+		if m-1 > pre.Lags() {
+			pre = mo.Prefix(min(m-1+prefixChunk, maxM-1))
+		}
 		num := op.B + float64(m)*drift
-		return num * num / (2 * mo.VarSum(m))
+		return num * num / (2 * pre.VarSum(m))
 	}
 	best, ok := solver.IntArgminSlack(obj, maxM, 4, 64, 3)
 	probeRate.Check(best.Value)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/models"
@@ -46,16 +47,44 @@ func TestMomentsRegistry(t *testing.T) {
 }
 
 // TestCTSMomentsBitIdentical re-runs the legacy incremental scan —
-// VarianceOfSum advanced lag by lag with the stop rule inline — and
-// demands exact equality with the cached-Moments path for both a Markov
-// and an LRD-composite ACF at several operating points.
+// VarianceOfSum advanced lag by lag with the stop rule inline, reading the
+// model's ACF(k) one lag at a time — and demands exact equality with the
+// cached-Moments path, which walks the ACF and scans prefix snapshots. It
+// covers a Markov model, both LRD composites, the exact-LRD L and a DAR(3)
+// fit at several operating points. At the larger buffers V^1.5 never meets
+// the stop rule, so its scans run to maxM; those scans and L's largest
+// buffer run past 1e5 lags.
 func TestCTSMomentsBitIdentical(t *testing.T) {
 	z, err := models.NewZ(0.975)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range []traffic.Model{mustDAR1(t, 0.9), z} {
-		for _, b := range []float64{0, 10, 100, 1000} {
+	v, err := models.NewV(1.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := models.NewL()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d3, err := models.FitS(z, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small := []float64{0, 10, 100, 1000}
+	for _, c := range []struct {
+		m    traffic.Model
+		maxM int
+		bufs []float64
+	}{
+		{mustDAR1(t, 0.9), DefaultMaxM, small},
+		{z, DefaultMaxM, small},
+		{v, 1 << 17, small},
+		{l, DefaultMaxM, append(small, 2e5)},
+		{d3, DefaultMaxM, small},
+	} {
+		m := c.m
+		for _, b := range c.bufs {
 			op := Operating{C: 538, B: b, N: 30}
 			legacy := func() CTSResult {
 				acc := NewVarianceOfSum(m)
@@ -65,21 +94,21 @@ func TestCTSMomentsBitIdentical(t *testing.T) {
 					return num * num / (2 * acc.Value())
 				}
 				best := CTSResult{M: 1, Rate: obj(1)}
-				for mm := 2; mm <= DefaultMaxM; mm++ {
+				for mm := 2; mm <= c.maxM; mm++ {
 					acc.Advance()
-					v := obj(mm)
-					if v < best.Rate {
-						best.M, best.Rate = mm, v
+					val := obj(mm)
+					if val < best.Rate {
+						best.M, best.Rate = mm, val
 						continue
 					}
-					if mm >= 4*best.M+64 && v >= 3*best.Rate {
+					if mm >= 4*best.M+64 && val >= 3*best.Rate {
 						best.Converged = true
 						return best
 					}
 				}
 				return best
 			}()
-			got, err := CTS(m, op, 0)
+			got, err := CTS(m, op, c.maxM)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -88,5 +117,52 @@ func TestCTSMomentsBitIdentical(t *testing.T) {
 					m.Name(), b, got, legacy)
 			}
 		}
+	}
+	if n := Moments(l).CachedLags(); n <= 1e5 {
+		t.Fatalf("L's largest buffer scanned %d lags, want > 1e5", n)
+	}
+}
+
+// TestCTSMomentsConcurrentSnapshots runs CTS scans at eight buffers from
+// eight goroutines against one fresh moments view of a walker model, so
+// some scans read prefix snapshots while others extend the tables. Under
+// -race it checks the snapshot scan; the results must equal a serial run
+// on a second fresh view.
+func TestCTSMomentsConcurrentSnapshots(t *testing.T) {
+	z, err := models.NewZ(0.975)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bufs := []float64{0, 10, 30, 100, 300, 1000, 3000, 10000}
+	op := func(b float64) Operating { return Operating{C: 538, B: b, N: 30} }
+	serial := make([]CTSResult, len(bufs))
+	mo := traffic.NewMoments(z)
+	for i, b := range bufs {
+		if serial[i], err = CTSMoments(mo, op(b), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	shared := traffic.NewMoments(z)
+	got := make([]CTSResult, len(bufs))
+	errs := make([]error, len(bufs))
+	var wg sync.WaitGroup
+	for i, b := range bufs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = CTSMoments(shared, op(b), 0)
+		}()
+	}
+	wg.Wait()
+	for i, b := range bufs {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if got[i] != serial[i] {
+			t.Errorf("b=%v: concurrent CTS %+v != serial %+v", b, got[i], serial[i])
+		}
+	}
+	if n := shared.CachedLags(); n < serial[len(bufs)-1].M {
+		t.Errorf("shared view cached %d lags, below the largest m* %d", n, serial[len(bufs)-1].M)
 	}
 }

@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 	"sync"
 
 	"repro/internal/randx"
@@ -64,6 +65,7 @@ type Process struct {
 	cumA     []float64 // cumulative sums of a for inverse sampling
 	marginal Marginal
 	name     string
+	nameFunc func() string // if set, formats the name on each Name call
 
 	mu     sync.Mutex
 	acfMem []float64 // memoised r(0), r(1), ... extended on demand
@@ -96,7 +98,7 @@ func New(rho float64, a []float64, marginal Marginal) (*Process, error) {
 		rho:      rho,
 		a:        append([]float64(nil), a...),
 		marginal: marginal,
-		name:     fmt.Sprintf("DAR(%d)", len(a)),
+		name:     "DAR(" + strconv.Itoa(len(a)) + ")",
 	}
 	p.cumA = make([]float64, len(a))
 	var c float64
@@ -124,10 +126,19 @@ func (p *Process) Rho() float64 { return p.rho }
 func (p *Process) SelectionProbs() []float64 { return append([]float64(nil), p.a...) }
 
 // Name implements traffic.Model.
-func (p *Process) Name() string { return p.name }
+func (p *Process) Name() string {
+	if p.nameFunc != nil {
+		return p.nameFunc()
+	}
+	return p.name
+}
 
 // SetName overrides the display name (e.g. "DAR(2) fit to Z^0.975").
-func (p *Process) SetName(name string) { p.name = name }
+func (p *Process) SetName(name string) { p.name, p.nameFunc = name, nil }
+
+// SetNameFunc names the process by f, called on every Name, for names
+// that cost a float format to build.
+func (p *Process) SetNameFunc(f func() string) { p.name, p.nameFunc = "", f }
 
 // Mean implements traffic.Model.
 func (p *Process) Mean() float64 { return p.marginal.Mean }
@@ -149,14 +160,69 @@ func (p *Process) ACF(k int) float64 {
 	if p.acfMem == nil {
 		p.acfMem = p.solveACFBase()
 	}
+	order := len(p.a)
 	for lag := len(p.acfMem); lag <= k; lag++ {
-		var r float64
-		for i, ai := range p.a {
-			r += p.rho * ai * p.acfMem[lag-1-i]
-		}
-		p.acfMem = append(p.acfMem, r)
+		p.acfMem = append(p.acfMem, p.recur(p.acfMem[lag-order:lag]))
 	}
 	return p.acfMem[k]
+}
+
+// recur evaluates the Yule-Walker recursion r(k) = Σ_{i=1..p} ρ a_i r(k−i)
+// from w, the p autocorrelations before lag k in lag order (w[p−1] is
+// r(k−1)). ACF and WalkACF share it, so both sum in the same order.
+func (p *Process) recur(w []float64) float64 {
+	var r float64
+	last := len(w) - 1
+	for i, ai := range p.a {
+		r += p.rho * ai * w[last-i]
+	}
+	return r
+}
+
+// WalkACF implements traffic.ACFWalker. It applies ACF's recursion over a
+// rolling window of the last p values, without a memo or a lock, so every
+// value equals ACF(k) bit for bit.
+//
+// Rounding does not take the tail to zero: it settles on a subnormal
+// fixed point (for DAR(1), ρ·r rounds back to r once r is a few dozen
+// ulps of the smallest subnormal), where every further step is a slow
+// subnormal multiply. Once a recursion step returns the value its whole
+// window holds, the window, and so every later value, stays the same, and
+// the walk returns it without recomputing.
+func (p *Process) WalkACF() func() float64 {
+	base := p.solveACFBase() // r(0..p)
+	order := len(p.a)
+	// Lag t sits at buf[t%p] and buf[t%p+p], so the window of the last p
+	// lags, oldest first, is the contiguous buf[s:s+p] with s = (t+1)%p.
+	buf := make([]float64, 2*order)
+	k, fixed := 0, false
+	return func() float64 {
+		if fixed {
+			return buf[0]
+		}
+		k++
+		var r float64
+		if k <= order {
+			r = base[k]
+		} else {
+			w := buf[k%order : k%order+order] // the window ending at lag k−1
+			r = p.recur(w)
+			fixed = allBits(w, r)
+		}
+		i := k % order
+		buf[i], buf[i+order] = r, r
+		return r
+	}
+}
+
+// allBits reports whether every element of w has the bits of r.
+func allBits(w []float64, r float64) bool {
+	for _, x := range w {
+		if math.Float64bits(x) != math.Float64bits(r) {
+			return false
+		}
+	}
+	return true
 }
 
 // solveACFBase solves the order-p Yule-Walker system for r(0..p).

@@ -176,7 +176,8 @@ func TestProbe(t *testing.T) {
 	if NewProbe("test.site") != p {
 		t.Fatal("probe registry not shared per site")
 	}
-	if !p.Check(1.5) || !p.Check(-2) || !p.Check(0) {
+	if !p.Check(1.5) || !p.Check(-2) || !p.Check(0) || !p.Check(math.Copysign(0, -1)) ||
+		!p.Check(0x1p-1022) || !p.Check(-math.MaxFloat64) {
 		t.Error("finite values flagged")
 	}
 	if p.Check(math.NaN()) {

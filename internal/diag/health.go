@@ -9,11 +9,6 @@ import (
 	"repro/internal/telemetry"
 )
 
-// minNormal is the smallest positive normal float64; magnitudes below it
-// (other than exact zero) are subnormal, the usual precursor of a silent
-// underflow to zero.
-const minNormal = 2.2250738585072014e-308
-
 // Probe counts numerical-health violations at one site — NaNs, ±Inf,
 // subnormals and exact underflows-to-zero — in lock-free atomics. The
 // all-finite fast path of Check is a handful of comparisons with no
@@ -57,19 +52,31 @@ func (p *Probe) record(c *atomic.Int64, m *telemetry.Counter) {
 
 // Check screens one value: NaN, ±Inf and subnormal magnitudes are counted
 // against the probe. It returns true when v is finite (subnormals are
-// finite but still recorded). The all-good path costs only comparisons.
+// finite but still recorded). The all-good path costs only comparisons
+// and inlines into the caller.
 func (p *Probe) Check(v float64) bool {
-	if math.IsNaN(v) {
+	// A biased exponent in 1..0x7fe is a finite normal number. Exponent 0
+	// is zero or subnormal, the usual precursor of a silent underflow to
+	// zero; 0x7ff is ±Inf or NaN.
+	if math.Float64bits(v)<<1>>53-1 < 0x7fe {
+		return true
+	}
+	return p.checkSlow(v)
+}
+
+// checkSlow screens a v that is zero, subnormal, ±Inf or NaN.
+func (p *Probe) checkSlow(v float64) bool {
+	switch {
+	case v == 0:
+		return true
+	case math.IsNaN(v):
 		p.record(&p.nan, p.mNaN)
 		return false
-	}
-	if math.IsInf(v, 0) {
+	case math.IsInf(v, 0):
 		p.record(&p.inf, p.mInf)
 		return false
 	}
-	if v != 0 && v < minNormal && v > -minNormal {
-		p.record(&p.subn, p.mSubn)
-	}
+	p.record(&p.subn, p.mSubn)
 	return true
 }
 

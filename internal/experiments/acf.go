@@ -35,7 +35,7 @@ func Fig1() ([]*Result, error) {
 		XLabel: "lag", YLabel: "r(k)",
 	}
 	for _, v := range models.VValues {
-		m, err := models.NewV(v)
+		m, err := newV(v)
 		if err != nil {
 			return nil, err
 		}
@@ -46,7 +46,7 @@ func Fig1() ([]*Result, error) {
 		XLabel: "lag", YLabel: "r(k)",
 	}
 	for _, a := range models.ZValues {
-		m, err := models.NewZ(a)
+		m, err := newZ(a)
 		if err != nil {
 			return nil, err
 		}
@@ -63,7 +63,7 @@ func Fig2(frames int, seed int64) (*Result, error) {
 	if frames < 1 {
 		return nil, fmt.Errorf("experiments: frames = %d must be ≥ 1", frames)
 	}
-	z, err := models.NewZ(0.7)
+	z, err := newZ(0.7)
 	if err != nil {
 		return nil, err
 	}
@@ -104,7 +104,7 @@ func Fig3() ([]*Result, error) {
 	defer stage("fig3")()
 	a := &Result{ID: "fig3a", Title: "ACF of V^v", XLabel: "lag", YLabel: "r(k)"}
 	for _, v := range models.VValues {
-		m, err := models.NewV(v)
+		m, err := newV(v)
 		if err != nil {
 			return nil, err
 		}
@@ -113,7 +113,7 @@ func Fig3() ([]*Result, error) {
 
 	b := &Result{ID: "fig3b", Title: "ACF of Z^a and L", XLabel: "lag", YLabel: "r(k)"}
 	for _, av := range models.ZValues {
-		m, err := models.NewZ(av)
+		m, err := newZ(av)
 		if err != nil {
 			return nil, err
 		}
@@ -127,7 +127,7 @@ func Fig3() ([]*Result, error) {
 
 	panels := []*Result{a, b}
 	for i, target := range []float64{0.7, 0.975} {
-		z, err := models.NewZ(target)
+		z, err := newZ(target)
 		if err != nil {
 			return nil, err
 		}

@@ -35,7 +35,7 @@ func Fig4() ([]*Result, error) {
 		XLabel: "buffer msec", YLabel: "m*_b (frames)",
 	}
 	for _, v := range models.VValues {
-		m, err := models.NewV(v)
+		m, err := newV(v)
 		if err != nil {
 			return nil, err
 		}
@@ -50,7 +50,7 @@ func Fig4() ([]*Result, error) {
 		XLabel: "buffer msec", YLabel: "m*_b (frames)",
 	}
 	for _, av := range models.ZValues {
-		m, err := models.NewZ(av)
+		m, err := newZ(av)
 		if err != nil {
 			return nil, err
 		}
@@ -90,7 +90,7 @@ func Fig5() ([]*Result, error) {
 		XLabel: "buffer msec", YLabel: "P(W>B)",
 	}
 	for _, v := range models.VValues {
-		m, err := models.NewV(v)
+		m, err := newV(v)
 		if err != nil {
 			return nil, err
 		}
@@ -105,7 +105,7 @@ func Fig5() ([]*Result, error) {
 		XLabel: "buffer msec", YLabel: "P(W>B)",
 	}
 	for _, av := range models.ZValues {
-		m, err := models.NewZ(av)
+		m, err := newZ(av)
 		if err != nil {
 			return nil, err
 		}
@@ -121,7 +121,7 @@ func Fig5() ([]*Result, error) {
 // fig6Panel builds one efficacy panel: Z^a against its DAR(p) fits, with L
 // optionally included (the paper draws L on panel (a) only).
 func fig6Panel(id string, targetA float64, includeL bool, grid []float64) (*Result, error) {
-	z, err := models.NewZ(targetA)
+	z, err := newZ(targetA)
 	if err != nil {
 		return nil, err
 	}

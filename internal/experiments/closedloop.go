@@ -87,11 +87,11 @@ func closedLoopSeries(m traffic.Model, c float64, n int, grid []float64, cfg Sim
 // asymptotic-LRD model), its matched Markov model DAR(1), and the exact-
 // LRD model L.
 func closedLoopBases() ([]traffic.Model, error) {
-	v, err := models.NewV(1)
+	v, err := newV(1)
 	if err != nil {
 		return nil, err
 	}
-	z, err := models.NewZ(0.975)
+	z, err := newZ(0.975)
 	if err != nil {
 		return nil, err
 	}

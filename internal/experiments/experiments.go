@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 
 	"repro/internal/diag"
 	"repro/internal/models"
@@ -43,6 +44,51 @@ type Series struct {
 // manifests, pricing each figure of a sweep individually.
 func stage(id string) func() {
 	return telemetry.Default.Timer("experiments_stage_seconds", telemetry.L("stage", id)).Start()
+}
+
+// sharedVZ holds one V^v or Z^a per family and parameter for the whole
+// process. core.Moments caches moments per model value, so figures that
+// evaluate the same composite (Fig 4 and 5 over both families, Fig 6 and 7
+// over Z^0.975 and Z^0.7) walk its ACF once between them instead of once
+// each. The models are immutable and NewGenerator only reads them, so the
+// simulation drivers share them as well.
+var sharedVZ struct {
+	sync.Mutex
+	m map[vzKey]*models.Composite
+}
+
+type vzKey struct {
+	family byte // 'V' or 'Z'
+	param  float64
+}
+
+// newV returns the process-shared V^v.
+func newV(v float64) (*models.Composite, error) { return sharedComposite(vzKey{'V', v}) }
+
+// newZ returns the process-shared Z^a.
+func newZ(a float64) (*models.Composite, error) { return sharedComposite(vzKey{'Z', a}) }
+
+// sharedComposite builds the composite for k on first use and returns the
+// same pointer thereafter. Construction errors are not cached.
+func sharedComposite(k vzKey) (*models.Composite, error) {
+	sharedVZ.Lock()
+	defer sharedVZ.Unlock()
+	if c, ok := sharedVZ.m[k]; ok {
+		return c, nil
+	}
+	build := models.NewZ
+	if k.family == 'V' {
+		build = models.NewV
+	}
+	c, err := build(k.param)
+	if err != nil {
+		return nil, err
+	}
+	if sharedVZ.m == nil {
+		sharedVZ.m = make(map[vzKey]*models.Composite)
+	}
+	sharedVZ.m[k] = c
+	return c, nil
 }
 
 // Result is one table or figure panel.

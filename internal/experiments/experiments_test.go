@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -208,6 +210,28 @@ func TestFig4Shapes(t *testing.T) {
 	if zSpread < 10 {
 		t.Fatalf("Z^a CTS spread %v at 2 msec; paper reports ≈15", zSpread)
 	}
+	matchCommittedCSV(t, rs)
+}
+
+// matchCommittedCSV demands that each result renders byte for byte as its
+// committed results/<id>.csv: the analytic figures are deterministic, so
+// a change of one ulp anywhere in the ACF walk or the scans fails here.
+func matchCommittedCSV(t *testing.T, rs []*Result) {
+	t.Helper()
+	for _, r := range rs {
+		want, err := os.ReadFile(filepath.Join("..", "..", "results", r.ID+".csv"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, wantLines := strings.Split(r.CSV(), "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < max(len(got), len(wantLines)); i++ {
+			if i >= len(got) || i >= len(wantLines) || got[i] != wantLines[i] {
+				t.Errorf("%s.csv differs from the committed file from line %d:\n got %q\nwant %q",
+					r.ID, i+1, got[min(i, len(got)-1)], wantLines[min(i, len(wantLines)-1)])
+				break
+			}
+		}
+	}
 }
 
 func TestFig5Ordering(t *testing.T) {
@@ -251,6 +275,7 @@ func TestFig5Ordering(t *testing.T) {
 			}
 		}
 	}
+	matchCommittedCSV(t, rs)
 }
 
 func indexOf(xs []float64, v float64) int {

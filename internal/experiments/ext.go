@@ -24,7 +24,7 @@ import (
 // periodicity costs.
 func ExtMPEG() ([]*Result, error) {
 	defer stage("extmpeg")()
-	z, err := models.NewZ(0.9)
+	z, err := newZ(0.9)
 	if err != nil {
 		return nil, err
 	}
@@ -69,7 +69,7 @@ func ExtMPEG() ([]*Result, error) {
 // the Hurst parameter alone does not determine queueing behaviour.
 func ExtSubstrates() ([]*Result, error) {
 	defer stage("extsub")()
-	z, err := models.NewZ(0.9)
+	z, err := newZ(0.9)
 	if err != nil {
 		return nil, err
 	}

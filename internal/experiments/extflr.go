@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/cellsim"
-	"repro/internal/models"
 )
 
 // ExtFLR measures the cell-level multiplexer across buffer sizes,
@@ -19,7 +18,7 @@ func ExtFLR(cfg SimConfig) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	z, err := models.NewZ(0.975)
+	z, err := newZ(0.975)
 	if err != nil {
 		return nil, err
 	}

@@ -88,7 +88,7 @@ func Fig8(cfg SimConfig) ([]*Result, error) {
 		XLabel: "buffer msec", YLabel: "CLR",
 	}
 	for _, v := range models.VValues {
-		m, err := models.NewV(v)
+		m, err := newV(v)
 		if err != nil {
 			return nil, err
 		}
@@ -103,7 +103,7 @@ func Fig8(cfg SimConfig) ([]*Result, error) {
 		XLabel: "buffer msec", YLabel: "CLR",
 	}
 	for _, av := range models.ZValues {
-		m, err := models.NewZ(av)
+		m, err := newZ(av)
 		if err != nil {
 			return nil, err
 		}
@@ -123,7 +123,7 @@ func Fig9(cfg SimConfig) ([]*Result, error) {
 	defer stage("fig9")()
 	var out []*Result
 	for i, target := range []float64{0.975, 0.7} {
-		z, err := models.NewZ(target)
+		z, err := newZ(target)
 		if err != nil {
 			return nil, err
 		}
@@ -169,7 +169,7 @@ func Fig9(cfg SimConfig) ([]*Result, error) {
 // Three series: B-R asymptotic, large-N asymptotic, and the simulated CLR.
 func Fig10(cfg SimConfig) (*Result, error) {
 	defer stage("fig10")()
-	z, err := models.NewZ(0.975)
+	z, err := newZ(0.975)
 	if err != nil {
 		return nil, err
 	}

@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 
 	"repro/internal/randx"
 	"repro/internal/traffic"
@@ -106,13 +107,35 @@ func (p Params) ACF(k int) float64 {
 	if k == 0 {
 		return 1
 	}
-	frac := 1 / (1 + math.Pow(p.T0/p.Ts, p.Alpha))
-	return frac * halfSecondDiff(float64(k), p.Alpha+1)
+	e, fk := p.Alpha+1, float64(k)
+	return p.acfScale() * halfSecondDiff(math.Pow(fk+1, e), math.Pow(fk, e), math.Pow(fk-1, e))
 }
 
-// halfSecondDiff evaluates ½∇²(k^e) = ½[(k+1)^e − 2k^e + (k−1)^e].
-func halfSecondDiff(k, e float64) float64 {
-	return 0.5 * (math.Pow(k+1, e) - 2*math.Pow(k, e) + math.Pow(k-1, e))
+// WalkACF implements traffic.ACFWalker. The three powers of ½∇²(k^e)
+// roll forward with the lag, so each step costs one Pow instead of three,
+// and the scale is computed once; every value equals ACF(k) bit for bit.
+func (p Params) WalkACF() func() float64 {
+	scale, e := p.acfScale(), p.Alpha+1
+	k := 0
+	prev, cur := math.Pow(0, e), math.Pow(1, e) // (k−1)^e and k^e for k = 1
+	return func() float64 {
+		k++
+		next := math.Pow(float64(k)+1, e)
+		r := scale * halfSecondDiff(next, cur, prev)
+		prev, cur = cur, next
+		return r
+	}
+}
+
+// acfScale returns Ts^α/(Ts^α+T0^α), the weight of ½∇²(k^{α+1}) in r(k).
+func (p Params) acfScale() float64 {
+	return 1 / (1 + math.Pow(p.T0/p.Ts, p.Alpha))
+}
+
+// halfSecondDiff evaluates ½∇²(k^e) = ½[(k+1)^e − 2k^e + (k−1)^e] from the
+// three powers.
+func halfSecondDiff(next, cur, prev float64) float64 {
+	return 0.5 * (next - 2*cur + prev)
 }
 
 // SolveT0 returns the fractal onset time that produces the requested
@@ -134,7 +157,7 @@ func SolveT0(meanFrame, varFrame, alpha, ts float64) (float64, error) {
 // Model is an FBNDP frame-size source implementing traffic.Model.
 type Model struct {
 	P    Params
-	name string
+	name string // set by SetName; empty means the default "FBNDP(α=…)"
 }
 
 // NewModel validates p and wraps it as a traffic.Model.
@@ -142,11 +165,17 @@ func NewModel(p Params) (*Model, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return &Model{P: p, name: fmt.Sprintf("FBNDP(α=%.3g)", p.Alpha)}, nil
+	return &Model{P: p}, nil
 }
 
-// Name implements traffic.Model.
-func (m *Model) Name() string { return m.name }
+// Name implements traffic.Model. The default name is formatted on demand,
+// so building a composite, which names itself, formats no float for it.
+func (m *Model) Name() string {
+	if m.name == "" {
+		return "FBNDP(α=" + strconv.FormatFloat(m.P.Alpha, 'g', 3, 64) + ")"
+	}
+	return m.name
+}
 
 // SetName overrides the display name.
 func (m *Model) SetName(name string) { m.name = name }
@@ -159,6 +188,9 @@ func (m *Model) Variance() float64 { return m.P.Variance() }
 
 // ACF implements traffic.Model.
 func (m *Model) ACF(k int) float64 { return m.P.ACF(k) }
+
+// WalkACF implements traffic.ACFWalker.
+func (m *Model) WalkACF() func() float64 { return m.P.WalkACF() }
 
 // durations handles sampling of the heavy-tailed ON/OFF duration
 // distribution and its equilibrium residual distribution.

@@ -342,3 +342,22 @@ func BenchmarkGeneratorFrame(b *testing.B) {
 		_ = g.NextFrame()
 	}
 }
+
+// TestWalkACFBitIdentical compares the rolling-power walk with ACF(k) bit
+// for bit across the fractal exponents of the paper's models.
+func TestWalkACFBitIdentical(t *testing.T) {
+	for _, alpha := range []float64{0.3, 0.72, 0.8, 0.9} {
+		p := zParams()
+		p.Alpha = alpha
+		m, err := NewModel(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		next := m.WalkACF()
+		for k := 1; k <= 1<<16; k++ {
+			if got, want := next(), m.ACF(k); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("α=%v: walk r(%d) = %v, ACF(%d) = %v", alpha, k, got, k, want)
+			}
+		}
+	}
+}

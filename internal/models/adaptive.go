@@ -112,7 +112,6 @@ func (c AIMDConfig) Validate() error {
 type AIMD struct {
 	base traffic.Model
 	cfg  AIMDConfig
-	name string
 }
 
 // NewAIMD wraps base with an AIMD rate controller. Zero fields of cfg
@@ -125,11 +124,11 @@ func NewAIMD(base traffic.Model, cfg AIMDConfig) (*AIMD, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	return &AIMD{base: base, cfg: c, name: "AIMD[" + base.Name() + "]"}, nil
+	return &AIMD{base: base, cfg: c}, nil
 }
 
 // Name implements traffic.Model.
-func (m *AIMD) Name() string { return m.name }
+func (m *AIMD) Name() string { return "AIMD[" + m.base.Name() + "]" }
 
 // Base returns the wrapped open-loop model.
 func (m *AIMD) Base() traffic.Model { return m.base }

@@ -17,6 +17,7 @@ package models
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"repro/internal/dar"
 	"repro/internal/fbndp"
@@ -55,18 +56,18 @@ const (
 //
 //	r(k) = v/(v+1)·r_X(k) + 1/(v+1)·r_Y(k),  v = σ²_X/σ²_Y.
 type Composite struct {
-	X    *fbndp.Model
-	Y    *dar.Process
-	name string
+	X *fbndp.Model
+	Y *dar.Process
+	// family ("V" or "Z") and param name the model on demand, so building
+	// one formats no float.
+	family string
+	param  float64
 }
 
-// NewComposite wires the two components together.
-func NewComposite(x *fbndp.Model, y *dar.Process, name string) *Composite {
-	return &Composite{X: x, Y: y, name: name}
+// Name implements traffic.Model: V^v or Z^a.
+func (c *Composite) Name() string {
+	return c.family + "^" + strconv.FormatFloat(c.param, 'g', -1, 64)
 }
-
-// Name implements traffic.Model.
-func (c *Composite) Name() string { return c.name }
 
 // Mean implements traffic.Model.
 func (c *Composite) Mean() float64 { return c.X.Mean() + c.Y.Mean() }
@@ -80,7 +81,31 @@ func (c *Composite) V() float64 { return c.X.Variance() / c.Y.Variance() }
 // ACF implements traffic.Model (paper Eq. 5).
 func (c *Composite) ACF(k int) float64 {
 	vx, vy := c.X.Variance(), c.Y.Variance()
-	return (vx*c.X.ACF(k) + vy*c.Y.ACF(k)) / (vx + vy)
+	return mixACF(vx*c.X.ACF(k), vy*c.Y.ACF(k), vx+vy)
+}
+
+// WalkACF implements traffic.ACFWalker: the two component walks combined
+// by ACF's expression, with the component variances taken once. The DAR
+// tail settles on a constant subnormal (see dar.Process.WalkACF), so its
+// weighted term is recomputed only when r_Y changes: a multiply by a
+// subnormal is slow.
+func (c *Composite) WalkACF() func() float64 {
+	vx, vy := c.X.Variance(), c.Y.Variance()
+	wx, wy := c.X.WalkACF(), c.Y.WalkACF()
+	ry, yTerm := 1.0, vy
+	return func() float64 {
+		rx := wx()
+		if r := wy(); math.Float64bits(r) != math.Float64bits(ry) {
+			ry, yTerm = r, vy*r
+		}
+		return mixACF(vx*rx, yTerm, vx+vy)
+	}
+}
+
+// mixACF combines the variance-weighted component autocorrelations
+// xTerm = σ²_X·r_X(k) and yTerm = σ²_Y·r_Y(k) over σ²_X+σ²_Y.
+func mixACF(xTerm, yTerm, vSum float64) float64 {
+	return (xTerm + yTerm) / vSum
 }
 
 // NewGenerator implements traffic.Model: the sum of independent X and Y
@@ -156,7 +181,7 @@ func NewZ(a float64) (*Composite, error) {
 	if err != nil {
 		return nil, fmt.Errorf("models: Z DAR component: %w", err)
 	}
-	return NewComposite(x, y, fmt.Sprintf("Z^%g", a)), nil
+	return &Composite{X: x, Y: y, family: "Z", param: a}, nil
 }
 
 // NewV constructs the model V^v for a given long-term correlation weight
@@ -192,7 +217,7 @@ func NewV(v float64) (*Composite, error) {
 	if err != nil {
 		return nil, fmt.Errorf("models: V DAR component: %w", err)
 	}
-	return NewComposite(x, y, fmt.Sprintf("V^%g", v)), nil
+	return &Composite{X: x, Y: y, family: "V", param: v}, nil
 }
 
 // SolveVA returns the DAR(1) parameter a of V^v that pins the composite
@@ -294,7 +319,7 @@ func FitS(z traffic.Model, p int) (*dar.Process, error) {
 	if err != nil {
 		return nil, fmt.Errorf("models: DAR(%d) fit to %s: %w", p, z.Name(), err)
 	}
-	s.SetName(fmt.Sprintf("DAR(%d)[%s]", p, z.Name()))
+	s.SetNameFunc(func() string { return "DAR(" + strconv.Itoa(p) + ")[" + z.Name() + "]" })
 	return s, nil
 }
 

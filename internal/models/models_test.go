@@ -394,3 +394,41 @@ func BenchmarkZGenerator(b *testing.B) {
 		_ = g.NextFrame()
 	}
 }
+
+// TestNames pins the display names, which the models format on demand
+// rather than at construction.
+func TestNames(t *testing.T) {
+	v, err := NewV(1.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	z, err := NewZ(0.975)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := FitS(z, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := NewAIMD(d, AIMDConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := NewL()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ got, want string }{
+		{v.Name(), "V^1.5"},
+		{z.Name(), "Z^0.975"},
+		{z.X.Name(), "FBNDP(α=0.8)"},
+		{z.Y.Name(), "DAR(1)"},
+		{d.Name(), "DAR(2)[Z^0.975]"},
+		{a.Name(), "AIMD[DAR(2)[Z^0.975]]"},
+		{l.Name(), "L"},
+	} {
+		if c.got != c.want {
+			t.Errorf("name %q, want %q", c.got, c.want)
+		}
+	}
+}

@@ -1,6 +1,9 @@
 package traffic
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // Moments is a cached second-order view of a Model: memoised
 // autocorrelations together with their prefix sums, from which the
@@ -13,7 +16,8 @@ import "sync"
 // Moments per model turns those repeated ACF partial-sum scans into cheap
 // array lookups. The accumulation order matches the incremental
 // core.VarianceOfSum evaluator exactly, so cached and direct computations
-// agree bit for bit.
+// agree bit for bit. Models that implement ACFWalker are walked in lag
+// order, one call per lag; others are queried through ACF(k).
 //
 // Moments itself implements Model (delegating Name and NewGenerator to the
 // wrapped model), so it can be passed anywhere a Model is expected. It is
@@ -25,10 +29,33 @@ type Moments struct {
 	mean   float64
 	sigma2 float64
 
-	mu sync.Mutex
-	r  []float64 // r[k]: memoised ACF, r[0] = 1
-	s1 []float64 // s1[k] = Σ_{i=1..k} r(i)
-	s2 []float64 // s2[k] = Σ_{i=1..k} i·r(i)
+	mu   sync.Mutex
+	next func() float64 // yields r(len(r)), then the lag after it, …
+	r    []float64      // r[k]: memoised ACF, r[0] = 1
+	s1   []float64      // s1[k] = Σ_{i=1..k} r(i)
+	s2   []float64      // s2[k] = Σ_{i=1..k} i·r(i)
+}
+
+// ACFWalker is implemented by models that can yield their autocorrelations
+// in lag order more cheaply than by random access. Each call to WalkACF
+// starts a fresh walk: the returned function yields r(1) on its first
+// call, r(2) on its second, and so on, each equal to ACF(k) bit for bit.
+// A walk is not safe for concurrent use.
+type ACFWalker interface {
+	WalkACF() func() float64
+}
+
+// walkACF returns a lag-order walk over m's ACF starting at lag 1: m's own
+// walk when it has one, else successive ACF(k) calls.
+func walkACF(m Model) func() float64 {
+	if w, ok := m.(ACFWalker); ok {
+		return w.WalkACF()
+	}
+	k := 0
+	return func() float64 {
+		k++
+		return m.ACF(k)
+	}
 }
 
 // NewMoments wraps m in a fresh cached view. If m is itself a *Moments the
@@ -41,6 +68,7 @@ func NewMoments(m Model) *Moments {
 		model:  m,
 		mean:   m.Mean(),
 		sigma2: m.Variance(),
+		next:   walkACF(m),
 		r:      []float64{1},
 		s1:     []float64{0},
 		s2:     []float64{0},
@@ -66,11 +94,23 @@ func (mo *Moments) NewGenerator(seed int64) Generator {
 
 // extend grows the memo through lag k. Callers must hold mo.mu.
 func (mo *Moments) extend(k int) {
+	// Double the capacity up front: append grows large slices by ~1.25×,
+	// and over the millions of lags an LRD model needs, its extra copies
+	// cost time and peak memory (the analytic figures peak ~130 MB higher).
+	if n := k + 1; n > cap(mo.r) {
+		n = max(n, 2*cap(mo.r))
+		mo.r = slices.Grow(mo.r, n-len(mo.r))
+		mo.s1 = slices.Grow(mo.s1, n-len(mo.s1))
+		mo.s2 = slices.Grow(mo.s2, n-len(mo.s2))
+	}
+	s1, s2 := mo.s1[len(mo.s1)-1], mo.s2[len(mo.s2)-1]
 	for lag := len(mo.r); lag <= k; lag++ {
-		rv := mo.model.ACF(lag)
+		rv := mo.next()
+		s1 += rv
+		s2 += float64(lag) * rv
 		mo.r = append(mo.r, rv)
-		mo.s1 = append(mo.s1, mo.s1[lag-1]+rv)
-		mo.s2 = append(mo.s2, mo.s2[lag-1]+float64(lag)*rv)
+		mo.s1 = append(mo.s1, s1)
+		mo.s2 = append(mo.s2, s2)
 	}
 }
 
@@ -120,8 +160,49 @@ func (mo *Moments) VarSum(m int) float64 {
 	}
 	s1, s2 := mo.s1[m-1], mo.s2[m-1]
 	mo.mu.Unlock()
+	return varSum(mo.sigma2, m, s1, s2)
+}
+
+// varSum is the one V(m) expression every cached path evaluates, from the
+// prefix sums s1(m−1) and s2(m−1).
+func varSum(sigma2 float64, m int, s1, s2 float64) float64 {
 	fm := float64(m)
-	return mo.sigma2 * (fm + 2*(fm*s1-s2))
+	return sigma2 * (fm + 2*(fm*s1-s2))
+}
+
+// Prefix is a lock-free snapshot of a Moments view's prefix tables. The
+// tables only ever grow by appending, so the entries a snapshot covers
+// never change and any number of goroutines may read them while the view
+// keeps extending.
+type Prefix struct {
+	sigma2 float64
+	s1, s2 []float64
+}
+
+// Prefix extends the view through lag k and returns a snapshot of every
+// lag cached so far, which covers at least 0..k. A scan that reads V(m)
+// for increasing m takes one lock per snapshot instead of one per query.
+func (mo *Moments) Prefix(k int) Prefix {
+	mo.mu.Lock()
+	if k >= len(mo.r) {
+		mo.extend(k)
+	}
+	p := Prefix{sigma2: mo.sigma2, s1: mo.s1, s2: mo.s2}
+	mo.mu.Unlock()
+	return p
+}
+
+// Lags reports the largest lag the snapshot covers (−1 for the zero
+// Prefix); VarSum is defined through m = Lags()+1.
+func (p Prefix) Lags() int { return len(p.s1) - 1 }
+
+// VarSum returns V(m) exactly as Moments.VarSum does, for 1 ≤ m ≤ Lags()+1
+// (0 for m ≤ 0).
+func (p Prefix) VarSum(m int) float64 {
+	if m < 1 {
+		return 0
+	}
+	return varSum(p.sigma2, m, p.s1[m-1], p.s2[m-1])
 }
 
 // AggVariance returns Var(X̄_m) = V(m)/m², the variance of the m-frame

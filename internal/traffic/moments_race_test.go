@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -23,13 +24,32 @@ func (acfModel) ACF(k int) float64 {
 	return math.Pow(float64(k), -0.4) // LRD-like decay keeps sums non-trivial
 }
 
+// walkModel is acfModel with a lag-order walk, so Moments extends through
+// WalkACF instead of ACF(k).
+type walkModel struct{ acfModel }
+
+func (w walkModel) WalkACF() func() float64 {
+	k := 0
+	return func() float64 {
+		k++
+		return w.ACF(k)
+	}
+}
+
 // TestMomentsConcurrentAccess hammers one Moments view from many
 // goroutines querying overlapping lag ranges in both directions — the
-// access pattern of a parallel CTS sweep sharing one moment cache. Run
-// under -race this validates the locking; the value checks validate that
-// concurrent extension never corrupts the prefix sums.
+// access pattern of a parallel CTS sweep sharing one moment cache — for a
+// model with and one without a walk. Run under -race this validates the
+// locking and the lock-free Prefix snapshots; the value checks validate
+// that concurrent extension never corrupts the prefix sums.
 func TestMomentsConcurrentAccess(t *testing.T) {
-	mo := NewMoments(acfModel{})
+	for _, m := range []Model{acfModel{}, walkModel{}} {
+		t.Run(fmt.Sprintf("%T", m), func(t *testing.T) { testMomentsConcurrentAccess(t, m) })
+	}
+}
+
+func testMomentsConcurrentAccess(t *testing.T, model Model) {
+	mo := NewMoments(model)
 	const (
 		workers = 8
 		maxM    = 600
@@ -51,6 +71,10 @@ func TestMomentsConcurrentAccess(t *testing.T) {
 				want := directVarSum(acfModel{}, m)
 				if math.Abs(got-want) > 1e-9*math.Abs(want) {
 					errs <- "VarSum mismatch"
+					return
+				}
+				if p := mo.Prefix(m - 1); p.Lags() < m-1 || p.VarSum(m) != got {
+					errs <- "Prefix snapshot disagrees with VarSum"
 					return
 				}
 				if r := mo.ACF(m); r != (acfModel{}).ACF(m) {

@@ -1,8 +1,10 @@
 package mux
 
 import (
+	"context"
 	"sync"
 
+	"repro/internal/runner"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/traffic"
@@ -69,12 +71,24 @@ func getChunk() *[]float64 {
 // sources in chunks. The aggregate for frame i is accumulated in source
 // order — the same float64 summation order as the old per-frame
 // aggregate() loop — so block-streamed sample paths are bit-identical to
-// the scalar protocol's.
+// the scalar protocol's, whether the sources were filled one after another
+// or concurrently on lanes lent by the runner.
 type blockAggregator struct {
 	gens []traffic.BlockGenerator
 	agg  *[]float64
 	tmp  *[]float64
 	span trace.Span // parent for per-chunk "mux fill" spans; zero = off
+	// ctx, when a runner replication handed it down, lets next borrow the
+	// engine's idle lanes (runner.Lend); nil = always serial.
+	ctx context.Context
+
+	// Lent-fill state, built on first use. fill is the function lent
+	// out; rows holds one pooled chunk per source, drawn only once a lane
+	// was actually lent; n is the length of the chunk being filled.
+	fill     func(j int)
+	rows     []*[]float64
+	rowsOnce sync.Once
+	n        int
 }
 
 // newBlockAggregator wraps gens for block streaming, using each
@@ -100,18 +114,54 @@ func (b *blockAggregator) next(n int) []float64 {
 	defer chunkSpan(b.span, "mux fill", n).End()
 	defer metFillTime.Start()()
 	agg := (*b.agg)[:n]
-	tmp := (*b.tmp)[:n]
 	for i := range agg {
 		agg[i] = 0
 	}
-	for _, g := range b.gens {
-		g.Fill(tmp)
-		for i, v := range tmp {
-			agg[i] += v
+	if b.lend(n) {
+		// The same additions, in the same source order, as the serial
+		// loop below.
+		for _, row := range b.rows {
+			for i, v := range (*row)[:n] {
+				agg[i] += v
+			}
+		}
+	} else {
+		tmp := (*b.tmp)[:n]
+		for _, g := range b.gens {
+			g.Fill(tmp)
+			for i, v := range tmp {
+				agg[i] += v
+			}
 		}
 	}
 	metFrames.Add(int64(n))
 	return agg
+}
+
+// lend fills the next n frames of source j into rows[j], for every j, on
+// the caller plus the lanes runner.Lend lends it. It reports false, having
+// filled nothing, when no lane was lent. Each source keeps its own
+// generator and chunk length, so every row holds exactly the frames the
+// serial loop would have drawn.
+func (b *blockAggregator) lend(n int) bool {
+	// runner.Lend refuses these too; checking first keeps a run that can
+	// never lend from building the closure at all.
+	if b.ctx == nil || len(b.gens) < 2 {
+		return false
+	}
+	if b.fill == nil {
+		b.fill = func(j int) {
+			b.rowsOnce.Do(func() {
+				b.rows = make([]*[]float64, len(b.gens))
+				for k := range b.rows {
+					b.rows[k] = getChunk()
+				}
+			})
+			b.gens[j].Fill((*b.rows[j])[:b.n])
+		}
+	}
+	b.n = n
+	return runner.Lend(b.ctx, len(b.gens), b.fill)
 }
 
 // chunkSpan starts the per-chunk child span name of parent, annotated
@@ -133,4 +183,8 @@ func (b *blockAggregator) release() {
 		chunkPool.Put(b.tmp)
 		b.agg, b.tmp = nil, nil
 	}
+	for _, row := range b.rows {
+		chunkPool.Put(row)
+	}
+	b.rows = nil
 }

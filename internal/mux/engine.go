@@ -144,7 +144,7 @@ func (e *engine) advance(buf []float64, t *tally) {
 // labels, merged with this run's path label; a nil ctx means neither.
 func (e *engine) run(ctx context.Context, warmup, frames int, scan func(ws []float64)) Result {
 	parent := trace.FromContext(ctx)
-	e.open.span = parent
+	e.open.span, e.open.ctx = parent, ctx
 	res := Result{Frames: frames}
 	loop := func() {
 		var discard tally

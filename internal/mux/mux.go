@@ -51,8 +51,12 @@ type Config struct {
 	// and "mux drain" spans, and its pprof labels (figure, model, sweep
 	// point, lane — see internal/telemetry/prof) are merged with the
 	// run's path label, so CPU samples attribute to experiment
-	// coordinates. A nil Ctx means no spans and no labels. Purely
-	// observational: never part of seeds, fingerprints or results.
+	// coordinates. When the runner handed Ctx to a replication, it also
+	// carries the engine, whose idle lanes then fill the open-loop
+	// sources of each chunk concurrently (runner.Lend); the sources are
+	// still summed in source order. A nil Ctx means no spans, no labels
+	// and no lending. It changes only who computes and how it is
+	// recorded: it never enters seeds, fingerprints or results.
 	Ctx context.Context
 }
 

@@ -51,7 +51,7 @@ func RunSweep(cfg Config, buffersCells []float64) ([]Result, error) {
 	}
 	parent := trace.FromContext(cfg.Ctx)
 	ba := newBlockAggregator(gens)
-	ba.span = parent
+	ba.span, ba.ctx = parent, cfg.Ctx
 	defer ba.release()
 	totalC := float64(cfg.N) * cfg.C
 	totalB := make([]float64, len(bs))

@@ -2,7 +2,7 @@
 // replications of a simulation job out over a bounded worker pool while
 // guaranteeing that the results are bit-identical to a serial run.
 //
-// Three properties make parallel replications safe for the paper's
+// Four properties make parallel replications safe for the paper's
 // statistics:
 //
 //  1. Deterministic seeding. The seed of replication i of a job is a
@@ -13,6 +13,14 @@
 //  3. Checkpointing. With a Checkpoint attached, every finished
 //     replication is persisted keyed by (job fingerprint, rep index); an
 //     interrupted full-scale run resumes instead of restarting.
+//  4. Bounded lanes. An engine has Workers lanes, and a lane is busy while
+//     it runs a replication or helps one. Run hands each replication a ctx
+//     that carries the engine, and Lend lets the replication borrow the
+//     lanes that are idle at that moment (a job with fewer replications
+//     than workers would otherwise leave them idle). Busy lanes never
+//     exceed Workers, so Workers bounds the CPUs a run uses, and the run
+//     uses all of them. Lending changes who computes a value, never the
+//     value: the caller fixes the order in which lent results combine.
 //
 // The engine's progress counters (jobs, replications done, work units such
 // as simulated frames) are registry-backed telemetry metrics; Stats remains
@@ -90,6 +98,10 @@ func (r Rep) AddUnits(n int64) {
 type Engine struct {
 	workers    int
 	checkpoint *Checkpoint
+	// lanes holds one token per busy lane: a worker running a
+	// replication, or a helper lent to one by Lend. Its capacity is
+	// workers, so busy lanes never exceed it.
+	lanes chan struct{}
 
 	start     time.Time
 	startOnce sync.Once
@@ -127,6 +139,7 @@ func NewWithRegistry(workers int, reg *telemetry.Registry) *Engine {
 	}
 	return &Engine{
 		workers:     workers,
+		lanes:       make(chan struct{}, workers),
 		reg:         reg,
 		jobs:        reg.Counter("runner_jobs_total"),
 		jobsDone:    reg.Counter("runner_jobs_done_total"),
@@ -253,6 +266,11 @@ func (e *Engine) LogProgress(interval time.Duration, w io.Writer) (stop func()) 
 // cancelled context returns context.Cause(ctx). With a checkpoint
 // attached, results of type T must round-trip through encoding/json;
 // previously completed replications are restored without re-running fn.
+//
+// Every replication holds one of the engine's lanes while it runs, and
+// jobs running concurrently on one engine share them. fn must therefore
+// not start another Run on the same engine: with every lane held, the
+// inner job would wait for a lane forever.
 func Run[T any](ctx context.Context, e *Engine, spec Spec, fn func(ctx context.Context, r Rep) (T, error)) ([]T, error) {
 	if e == nil {
 		return nil, fmt.Errorf("runner: nil engine")
@@ -290,6 +308,7 @@ func Run[T any](ctx context.Context, e *Engine, spec Spec, fn func(ctx context.C
 	if len(pending) > 0 {
 		ctx, cancel := context.WithCancelCause(ctx)
 		defer cancel(nil)
+		ctx = context.WithValue(ctx, engineKey{}, e) // lets replications Lend
 
 		workers := e.workers
 		if workers > len(pending) {
@@ -328,6 +347,14 @@ func Run[T any](ctx context.Context, e *Engine, spec Spec, fn func(ctx context.C
 					if ctx.Err() != nil {
 						return
 					}
+					// A lane lent by Lend comes back once that call runs
+					// out of indices; wait for it rather than exceed the
+					// bound.
+					select {
+					case e.lanes <- struct{}{}:
+					case <-ctx.Done():
+						return
+					}
 					rep := Rep{
 						Index: i,
 						Seed:  seed.DeriveString(spec.MasterSeed, spec.ID, uint64(i)),
@@ -341,6 +368,7 @@ func Run[T any](ctx context.Context, e *Engine, spec Spec, fn func(ctx context.C
 						res, err = fn(repCtx, rep)
 					})
 					sp.End()
+					<-e.lanes
 					if err != nil {
 						fail(fmt.Errorf("runner: job %q rep %d: %w", spec.ID, i, err))
 						return
@@ -378,6 +406,64 @@ func Run[T any](ctx context.Context, e *Engine, spec Spec, fn func(ctx context.C
 
 	e.jobsDone.Add(1)
 	return results, nil
+}
+
+// engineKey is the ctx key under which Run hands a replication its
+// engine.
+type engineKey struct{}
+
+// Lend runs fn(0), …, fn(n−1) on the calling goroutine together with the
+// lanes of ctx's engine that are idle at the call, and returns true once
+// all n calls have returned. Each index runs exactly once, on whichever
+// goroutine claims it first, so fn(i) must write only state owned by i;
+// the caller combines the results in its own fixed order afterwards,
+// which keeps them independent of worker count and scheduling.
+//
+// Lend returns false at once, having run nothing, when ctx is nil or
+// carries no engine (it did not come from Run), when n < 2, or when no
+// lane is idle. The caller then runs its serial loop. A 1-worker engine
+// therefore never lends. Helpers start from the calling goroutine, so
+// they inherit its pprof labels; all of them have returned, and their
+// lanes are free again, before Lend returns.
+func Lend(ctx context.Context, n int, fn func(i int)) bool {
+	if ctx == nil || n < 2 {
+		return false
+	}
+	e, _ := ctx.Value(engineKey{}).(*Engine)
+	if e == nil || len(e.lanes) == cap(e.lanes) {
+		return false
+	}
+	helpers := 0
+claim:
+	for helpers < n-1 {
+		select {
+		case e.lanes <- struct{}{}:
+			helpers++
+		default:
+			break claim
+		}
+	}
+	if helpers == 0 {
+		return false
+	}
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+			fn(i)
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(helpers)
+	for range helpers {
+		go func() {
+			defer wg.Done()
+			work()
+			<-e.lanes
+		}()
+	}
+	work()
+	wg.Wait()
+	return true
 }
 
 func repKey(fingerprint string, rep int) string {
